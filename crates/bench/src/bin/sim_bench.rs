@@ -7,8 +7,8 @@
 //!   heap-labelled `memo_hal::reference` engine;
 //! * **full** — the same event loop on the interned/arena engine
 //!   (`RecordLevel::Full`, spans + marks recorded);
-//! * **fast** — `RecordLevel::CursorOnly` with steady-state layer
-//!   splicing (the strategy search's inner-loop path).
+//! * **fast** — `RecordLevel::CursorOnly`: the scalar recurrence over the
+//!   same layout, no timeline (the strategy search's inner-loop path).
 //!
 //! The costs come from the real profiler output, exactly as the
 //! `ExecutionPipeline` builds them. Emits `BENCH_sim.json` with per-cell
@@ -226,7 +226,7 @@ fn main() {
         cells.push(cell);
     }
 
-    // End-to-end mode parity: unobserved (cursor-only, spliced) vs
+    // End-to-end mode parity: unobserved (cursor-only, scalar) vs
     // observed (fully recorded) execution must report identical cells.
     println!("\nsix-mode end-to-end parity at 1M tokens:");
     let w1m = Workload::new(model.clone(), n_gpus, 1024 * 1024);

@@ -384,6 +384,16 @@ impl Workload {
 mod tests {
     use super::*;
     use crate::testutil::w7;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Every test here that runs `execute_delta` holds this lock: the delta
+    /// counters are process-global, and the tests that assert on them
+    /// (one of which resets them) would otherwise count each other's runs.
+    fn delta_counters() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        // A failed test poisons the lock; the counters stay usable.
+        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     fn assert_reports_equal(a: &ExecutionReport, b: &ExecutionReport, what: &str) {
         assert_eq!(a.outcome, b.outcome, "{what}: outcome");
@@ -394,6 +404,7 @@ mod tests {
 
     #[test]
     fn delta_alpha_grid_is_bit_identical_to_cached_runs() {
+        let _counters = delta_counters();
         let w = w7(8, 64);
         let cfg = ParallelConfig::megatron(4, 2, 1, 1);
         let grid = w.run_alpha_grid(&cfg, 17, 2);
@@ -415,6 +426,7 @@ mod tests {
 
     #[test]
     fn delta_alpha_grid_reuses_profile_and_plan_pins() {
+        let _counters = delta_counters();
         let w = w7(8, 64);
         let cfg = ParallelConfig::megatron(8, 1, 1, 1);
         reset_delta_stats();
@@ -432,6 +444,7 @@ mod tests {
 
     #[test]
     fn mixed_policy_grid_matches_cached_and_tops_out_at_uniform_memo() {
+        let _counters = delta_counters();
         let w = w7(8, 64);
         let cfg = ParallelConfig::megatron(4, 2, 1, 1);
         let grid = w.run_mixed_policy_grid(&cfg, None, 2);
@@ -467,6 +480,7 @@ mod tests {
 
     #[test]
     fn context_restamps_on_workload_change() {
+        let _counters = delta_counters();
         let w64 = w7(8, 64);
         let w128 = w7(8, 128);
         let cfg = ParallelConfig::megatron(4, 2, 1, 1);
@@ -492,6 +506,7 @@ mod tests {
 
     #[test]
     fn caching_replay_backends_fall_back_to_full_simulation() {
+        let _counters = delta_counters();
         let w = w7(8, 64);
         let cfg = ParallelConfig::megatron(4, 2, 1, 1);
         let mut ctx = DeltaContext::new();
@@ -506,6 +521,7 @@ mod tests {
 
     #[test]
     fn delta_reproduces_oohm_failure_cells() {
+        let _counters = delta_counters();
         // α = 1.0 at a long context overflows the host (the executor's
         // OOHM test pins this workload); the delta path must report the
         // identical failure, and keep doing so on the cached re-run.
@@ -532,6 +548,7 @@ mod tests {
 
     #[test]
     fn pick_best_uses_last_wins_tie_break() {
+        let _counters = delta_counters();
         let w = w7(8, 64);
         let cfg = ParallelConfig::megatron(4, 2, 1, 1);
         let grid = w.run_alpha_grid(&cfg, 5, 2);

@@ -284,6 +284,24 @@ mod tests {
     }
 
     #[test]
+    fn memo_nvme_without_an_nvme_tier_is_memo() {
+        // MemoNvme is the tiered policy at depth 2. On a hierarchy with a
+        // single offload tier (host only) there is nothing to spill to, so
+        // it runs the host-only token-wise policy — MEMO, with MEMO's host
+        // gate — in every cell, including the host-bound ones.
+        let mega = ParallelConfig::megatron(4, 2, 1, 1);
+        for s in [64u64, 768, 1024] {
+            let mut w = w7(8, s);
+            w.calib.hierarchy.tiers.truncate(1);
+            let nvme = ExecutionPipeline::new(SystemSpec::MemoNvme).execute(&w, &mega);
+            let memo = ExecutionPipeline::new(SystemSpec::Memo).execute(&w, &mega);
+            assert_eq!(nvme.outcome, memo.outcome, "{s}K outcome");
+            assert_eq!(nvme.bytes, memo.bytes, "{s}K bytes");
+            assert_eq!(nvme.time, memo.time, "{s}K time");
+        }
+    }
+
+    #[test]
     fn deeper_chain_extends_the_frontier_knob() {
         // Adding a CXL-style tier between host and NVMe must never hurt:
         // the waterfall's α is monotone in chain depth.

@@ -6,8 +6,9 @@
 //!    ([`crate::profiler`]);
 //! 2. **activation policy** ([`ActivationPolicy`]) — how activations survive
 //!    to the backward pass: token-wise α swap into rounding buffers,
-//!    per-tensor greedy swap, two-tier host+NVMe spill, full recomputation,
-//!    or keep-all. Swap policies can fail host/NVMe feasibility (`X_oohm`);
+//!    per-tensor greedy swap, an N-tier spill down the offload chain, a
+//!    per-layer swap/recompute mix, full recomputation, or keep-all. Swap
+//!    policies can fail host/NVMe feasibility (`X_oohm`);
 //! 3. **memory backend** ([`MemoryBackend`]) — where tensors live: the
 //!    bi-level static plan or a PyTorch-style caching-allocator replay.
 //!    Both report a peak, reorganisation count, and a uniform `X_oom`;
@@ -30,12 +31,14 @@ use memo_alloc::snapshot::{replay, SnapshotSeries};
 use memo_alloc::AllocError;
 use memo_hal::engine::{RecordLevel, Timeline};
 use memo_hal::time::SimTime;
-use memo_model::trace::RematPolicy;
+use memo_model::trace::{IterationTrace, RematPolicy};
 use memo_parallel::comm;
 use memo_parallel::strategy::{ParallelConfig, SystemSpec};
+use memo_plan::bilevel::BilevelReport;
 use memo_plan::dispatch::PlannerKind;
 use memo_swap::schedule::{LayerCosts, TierTraffic, TierTrafficList};
 use memo_swap::tiers::TierStaging;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Stage 2: how activations survive from forward to backward.
@@ -51,14 +54,12 @@ pub enum ActivationPolicy {
     /// Capuchin-style granularity: greedily swap whole tensors, largest
     /// first, under the overlap and host budgets.
     TensorGreedy,
-    /// Two-tier α (extension): token rows the host cannot hold spill to
-    /// NVMe at lower bandwidth.
-    TwoTierNvme,
     /// N-tier α waterfall over the calibration's [`memo_hal::MemoryHierarchy`]:
     /// token rows cascade down the chain, each tier absorbing what the
     /// nearer tiers cannot. `depth = 0` uses the whole chain; `depth = d`
     /// truncates it to the first `d` offload tiers (so `d = 1` is the
-    /// host-only token-wise policy and `d = 2` the host+NVMe pair).
+    /// host-only token-wise policy and `d = 2` the host+NVMe pair that
+    /// [`SystemSpec::MemoNvme`] runs).
     Tiered { depth: u8 },
     /// Per-layer mixed policy (the delta-search extension): the first
     /// `swap_layers` layers swap token-wise exactly as [`Self::TokenWise`],
@@ -144,7 +145,7 @@ impl PipelineStages {
                 ..token_wise(None, 2)
             },
             SystemSpec::MemoNvme => PipelineStages {
-                policy: ActivationPolicy::TwoTierNvme,
+                policy: ActivationPolicy::Tiered { depth: 2 },
                 ..token_wise(None, 2)
             },
             SystemSpec::MemoTiered(depth) => PipelineStages {
@@ -348,6 +349,41 @@ impl ExecutionPipeline {
         w: &Workload,
         cfg: &ParallelConfig,
         use_cache: bool,
+        obs: Option<&mut RunObserver>,
+    ) -> ExecutionReport {
+        self.run(w, cfg, Source::Cache { use_cache }, obs)
+    }
+
+    /// [`Self::execute_cached`] driven through a [`crate::delta::DeltaContext`]:
+    /// the profile and bi-level plan come from the context's pinned `Arc`s
+    /// (no key construction or shard locking on reuse) and the swap-family
+    /// schedule goes through the global [`memo_swap::SegmentCache`]. The
+    /// report is bit-identical to `execute_cached(w, cfg, true)` — every
+    /// reuse layer keys on all of its inputs (asserted by the lockstep
+    /// differential suite). Caching-replay backends have no incremental
+    /// structure to exploit and fall back to full simulation.
+    pub fn execute_delta(
+        &self,
+        w: &Workload,
+        cfg: &ParallelConfig,
+        ctx: &mut crate::delta::DeltaContext,
+    ) -> ExecutionReport {
+        crate::delta::count_delta_run();
+        if matches!(self.stages.backend, MemoryBackend::CachingReplay { .. }) {
+            crate::delta::count_full_fallback();
+            return self.execute_cached(w, cfg, true);
+        }
+        ctx.restamp(w);
+        self.run(w, cfg, Source::Delta(ctx), None)
+    }
+
+    /// The five stages, with the profile and static plan fetched from
+    /// `source`.
+    fn run(
+        &self,
+        w: &Workload,
+        cfg: &ParallelConfig,
+        mut source: Source<'_>,
         mut obs: Option<&mut RunObserver>,
     ) -> ExecutionReport {
         debug_assert!(cfg
@@ -359,13 +395,7 @@ impl ExecutionPipeline {
         // requests on other workers must not leak into this run's counts.
         let cache_scope = obs.as_ref().map(|_| crate::cache::CacheStatsScope::enter());
         let t0 = obs.as_ref().map(|_| Instant::now());
-        let p = ProfileCache::global().profile(
-            w,
-            cfg,
-            self.stages.remat,
-            self.stages.materialize_logits,
-            use_cache,
-        );
+        let p = source.profile(w, cfg, &self.stages);
         if let Some(o) = obs.as_deref_mut() {
             o.stage_secs.profile = t0.unwrap().elapsed().as_secs_f64();
         }
@@ -409,7 +439,7 @@ impl ExecutionPipeline {
             cfg,
             &p,
             &plan,
-            use_cache,
+            &mut source,
             obs.as_deref_mut(),
         );
         if let Some(o) = obs.as_deref_mut() {
@@ -439,7 +469,7 @@ impl ExecutionPipeline {
             &plan,
             &mem,
             self.stages.derate,
-            false,
+            matches!(source, Source::Delta(_)),
             obs.as_deref_mut(),
         );
         let report = self.finalize(w, cfg, &plan, &mem, sched);
@@ -448,86 +478,6 @@ impl ExecutionPipeline {
         }
         finish_cache_delta(obs, cache_scope);
         report
-    }
-
-    /// [`Self::execute_cached`] driven through a [`crate::delta::DeltaContext`]:
-    /// the profile and bi-level plan come from the context's pinned `Arc`s
-    /// (no key construction or shard locking on reuse) and the swap-family
-    /// schedule goes through the global [`memo_swap::SegmentCache`]. The
-    /// report is bit-identical to `execute_cached(w, cfg, true)` — every
-    /// reuse layer keys on all of its inputs (asserted by the lockstep
-    /// differential suite). Caching-replay backends have no incremental
-    /// structure to exploit and fall back to full simulation.
-    pub fn execute_delta(
-        &self,
-        w: &Workload,
-        cfg: &ParallelConfig,
-        ctx: &mut crate::delta::DeltaContext,
-    ) -> ExecutionReport {
-        crate::delta::count_delta_run();
-        if matches!(self.stages.backend, MemoryBackend::CachingReplay { .. }) {
-            crate::delta::count_full_fallback();
-            return self.execute_cached(w, cfg, true);
-        }
-        debug_assert!(cfg
-            .validate(&w.model, w.n_gpus, w.calib.gpus_per_node.min(w.n_gpus))
-            .is_ok());
-        ctx.restamp(w);
-
-        let fail = |bytes, outcome| ExecutionReport {
-            spec: self.spec,
-            strategy: *cfg,
-            bytes,
-            time: TimeBreakdown::default(),
-            outcome,
-        };
-        let states_only = |p: &ProfileReport| ByteBreakdown {
-            model_states: p.model_states.total(),
-            ..ByteBreakdown::default()
-        };
-
-        // ---- stage 1: profile (context pin) -------------------------------
-        let p = ctx.profile(w, cfg, self.stages.remat, self.stages.materialize_logits);
-        let head_secs = p.head_secs * self.stages.head_scale;
-
-        // ---- stage 2: activation policy -----------------------------------
-        let plan = match decide_activation(&self.stages.policy, w, &p) {
-            Ok(plan) => plan,
-            Err(out) => return fail(states_only(&p), out),
-        };
-
-        // ---- stage 3: memory backend (static plan via context pin) --------
-        let plan_rep = ctx.plan(
-            w,
-            cfg,
-            self.stages.remat,
-            self.stages.materialize_logits,
-            self.stages.planner,
-            &p.trace,
-        );
-        let mem = match static_plan_accounting(
-            &p,
-            &plan,
-            plan_rep.plan.peak,
-            w.calib.usable_gpu_memory(),
-        ) {
-            Ok(mem) => mem,
-            Err(out) => return fail(states_only(&p), out),
-        };
-
-        // ---- stages 4+5: schedule and metrics -----------------------------
-        let sched = build_schedule(
-            w,
-            cfg,
-            &p,
-            head_secs,
-            &plan,
-            &mem,
-            self.stages.derate,
-            true,
-            None,
-        );
-        self.finalize(w, cfg, &plan, &mem, sched)
     }
 
     /// Stage 5: fold the schedule result into the [`ExecutionReport`].
@@ -583,6 +533,63 @@ impl ExecutionPipeline {
     }
 }
 
+/// Where a run's profile and static plan come from.
+enum Source<'a> {
+    /// The global [`ProfileCache`]; `use_cache = false` recomputes both.
+    Cache { use_cache: bool },
+    /// A delta sweep's pins (see [`ExecutionPipeline::execute_delta`]).
+    Delta(&'a mut crate::delta::DeltaContext),
+}
+
+impl Source<'_> {
+    fn profile(
+        &mut self,
+        w: &Workload,
+        cfg: &ParallelConfig,
+        stages: &PipelineStages,
+    ) -> Arc<ProfileReport> {
+        match self {
+            Source::Cache { use_cache } => ProfileCache::global().profile(
+                w,
+                cfg,
+                stages.remat,
+                stages.materialize_logits,
+                *use_cache,
+            ),
+            Source::Delta(ctx) => ctx.profile(w, cfg, stages.remat, stages.materialize_logits),
+        }
+    }
+
+    /// The static plan of the trace profiled under the same key.
+    fn plan(
+        &mut self,
+        w: &Workload,
+        cfg: &ParallelConfig,
+        stages: &PipelineStages,
+        trace: &IterationTrace,
+    ) -> Arc<BilevelReport> {
+        match self {
+            Source::Cache { use_cache } => ProfileCache::global().plan(
+                w,
+                cfg,
+                stages.remat,
+                stages.materialize_logits,
+                stages.planner,
+                trace,
+                *use_cache,
+            ),
+            Source::Delta(ctx) => ctx.plan(
+                w,
+                cfg,
+                stages.remat,
+                stages.materialize_logits,
+                stages.planner,
+                trace,
+            ),
+        }
+    }
+}
+
 /// Fold the run's [`ProfileCache`] lookups into the observer. The scope is
 /// thread-local, so the counts are exact for this run even while other
 /// workers hammer the same global cache (the old global snapshot-diff
@@ -598,21 +605,11 @@ fn finish_cache_delta(obs: Option<&mut RunObserver>, scope: Option<crate::cache:
 /// Outcome of stage 2: the per-layer activation traffic.
 #[derive(Debug, Clone, Copy)]
 enum ActivationPlan {
-    /// Swap family: three-stream schedule with these per-layer costs.
-    Swap {
-        /// Reported α (token fraction swapped of the "others" bytes).
-        alpha: f64,
-        /// Rounding-buffer slots.
-        slots: usize,
-        /// Per-layer staged traffic across the offload chain, nearest tier
-        /// first (tier 0 = host over PCIe).
-        traffic: TierTrafficList,
-        /// Token-wise recompute seconds before each swapped layer's backward.
-        t_recompute: f64,
-    },
-    /// Mixed per-layer policy: `swap_layers` token-wise swap layers, then
-    /// full-recompute layers, then `slots` retained layers — the segmented
-    /// three-stream schedule of [`memo_swap::segmented`].
+    /// Swap family: the three-stream schedule over
+    /// [`memo_swap::layer_layout`] — `swap_layers` token-wise swap layers,
+    /// then full-recompute layers, then `slots` retained layers. The
+    /// uniform token-wise policies swap every layer they can
+    /// (`layers_local − slots`), so none of their layers recomputes.
     MixedSwap {
         /// Reported α of the swapping layers.
         alpha: f64,
@@ -620,7 +617,8 @@ enum ActivationPlan {
         swap_layers: usize,
         /// Rounding-buffer slots (= retained layers).
         slots: usize,
-        /// Per-layer staged traffic of each *swapping* layer.
+        /// Per-layer staged traffic of each *swapping* layer across the
+        /// offload chain, nearest tier first (tier 0 = host over PCIe).
         traffic: TierTrafficList,
         /// Token-wise recompute seconds before each swapped layer's backward.
         t_recompute: f64,
@@ -632,9 +630,7 @@ enum ActivationPlan {
 impl ActivationPlan {
     fn reported_alpha(&self) -> Option<f64> {
         match self {
-            ActivationPlan::Swap { alpha, .. } | ActivationPlan::MixedSwap { alpha, .. } => {
-                Some(*alpha)
-            }
+            ActivationPlan::MixedSwap { alpha, .. } => Some(*alpha),
             ActivationPlan::Recompute { .. } => None,
         }
     }
@@ -685,8 +681,9 @@ fn token_wise_plan(
     let recompute_fraction = 1.0 - swapped_others as f64 / p.split.s_others.max(1) as f64;
     let mut traffic = TierTrafficList::new();
     traffic.push(tier_traffic(w, 0, offload_bytes));
-    Ok(ActivationPlan::Swap {
+    Ok(ActivationPlan::MixedSwap {
         alpha: report_alpha,
+        swap_layers: p.layers_local.saturating_sub(slots),
         slots,
         traffic,
         t_recompute: recompute_fraction * p.layer_time.fwd_without_attention(),
@@ -735,56 +732,6 @@ fn decide_activation(
             }
             let alpha_equiv = picked as f64 / p.split.s_others.max(1) as f64;
             token_wise_plan(w, p, picked, alpha_equiv, 2)
-        }
-        ActivationPolicy::TwoTierNvme => {
-            use memo_swap::alpha::{solve_alpha_two_tier, AlphaInputs};
-            let two = solve_alpha_two_tier(
-                &AlphaInputs {
-                    s_input: p.split.s_input,
-                    s_attn: p.split.s_attn,
-                    s_others: p.split.s_others,
-                    bandwidth: w.calib.effective_pcie(),
-                    t_layer_fwd: p.layer_time.fwd(),
-                    n_layers: p.layers_local,
-                    host_capacity: w.calib.host_capacity_per_gpu(),
-                },
-                w.calib.effective_nvme_per_gpu(),
-                w.calib.nvme_capacity_per_gpu(),
-            );
-            // With NVMe, even the mandatory input+attn tensors can spill, so
-            // the only hard failure is NVMe exhaustion itself.
-            let staged_layers = p.layers_local.saturating_sub(2) as u64;
-            let nvme_bytes = (two.alpha_nvme * p.split.s_others as f64).round() as u64
-                + if two.host_infeasible_at_zero {
-                    p.split.s_input + p.split.s_attn
-                } else {
-                    0
-                };
-            if staged_layers * nvme_bytes > w.calib.nvme_capacity_per_gpu() {
-                return Err(CellOutcome::Oohm {
-                    needed: staged_layers * nvme_bytes,
-                    capacity: w.calib.nvme_capacity_per_gpu(),
-                });
-            }
-            let alpha = two.alpha_total().min(1.0);
-            // Host carries input+attn plus its α share unless it cannot even
-            // hold the mandatory tensors (then everything routes via NVMe).
-            let host_bytes = if two.host_infeasible_at_zero {
-                0
-            } else {
-                p.split.s_input
-                    + p.split.s_attn
-                    + (two.alpha_host * p.split.s_others as f64).round() as u64
-            };
-            let mut traffic = TierTrafficList::new();
-            traffic.push(tier_traffic(w, 0, host_bytes));
-            traffic.push(tier_traffic(w, 1, nvme_bytes));
-            Ok(ActivationPlan::Swap {
-                alpha,
-                slots: 2,
-                traffic,
-                t_recompute: (1.0 - alpha) * p.layer_time.fwd_without_attention(),
-            })
         }
         ActivationPolicy::Tiered { depth } => {
             use memo_swap::alpha::{solve_alpha_tiered, AlphaInputs, TierLink};
@@ -855,8 +802,9 @@ fn decide_activation(
                 traffic.push(tier_traffic(w, k, bytes));
             }
             let alpha = sol.alpha_total().min(1.0);
-            Ok(ActivationPlan::Swap {
+            Ok(ActivationPlan::MixedSwap {
                 alpha,
+                swap_layers: p.layers_local.saturating_sub(2),
                 slots: 2,
                 traffic,
                 t_recompute: (1.0 - alpha) * p.layer_time.fwd_without_attention(),
@@ -906,9 +854,7 @@ struct MemoryAccounting {
 }
 
 /// GPU byte accounting of the static-plan backend given the planned arena
-/// peak. The bi-level plan itself is fetched by the caller — through the
-/// [`ProfileCache`] or a [`crate::delta::DeltaContext`] pin — so both paths
-/// share one accounting function.
+/// peak.
 fn static_plan_accounting(
     p: &ProfileReport,
     plan: &ActivationPlan,
@@ -916,12 +862,10 @@ fn static_plan_accounting(
     usable: u64,
 ) -> Result<MemoryAccounting, CellOutcome> {
     let skeletal = match *plan {
-        // The mixed policy rotates the same `slots` rounding buffers
-        // through its swap + retained layers, so its skeletal GPU
-        // footprint is the uniform formula (recompute layers pass
-        // through without touching the ring).
-        ActivationPlan::Swap { alpha, slots, .. }
-        | ActivationPlan::MixedSwap { alpha, slots, .. } => {
+        // Swap + retained layers rotate through the same `slots` rounding
+        // buffers (recompute layers pass through without touching the
+        // ring), so the footprint is the uniform formula.
+        ActivationPlan::MixedSwap { alpha, slots, .. } => {
             memo_swap::buffers::skeletal_gpu_bytes_with_slots(
                 p.split.s_input,
                 p.split.s_attn,
@@ -952,7 +896,7 @@ fn account_memory(
     cfg: &ParallelConfig,
     p: &ProfileReport,
     plan: &ActivationPlan,
-    use_cache: bool,
+    source: &mut Source<'_>,
     obs: Option<&mut RunObserver>,
 ) -> Result<MemoryAccounting, CellOutcome> {
     let usable = w.calib.usable_gpu_memory();
@@ -960,15 +904,7 @@ fn account_memory(
         MemoryBackend::StaticPlan => {
             // The bi-level plan is a pure function of the trace, which is a
             // pure function of the profile key — memoized beside the profile.
-            let report = ProfileCache::global().plan(
-                w,
-                cfg,
-                stages.remat,
-                stages.materialize_logits,
-                stages.planner,
-                &p.trace,
-                use_cache,
-            );
+            let report = source.plan(w, cfg, stages, &p.trace);
             static_plan_accounting(p, plan, report.plan.peak, usable)
         }
         MemoryBackend::CachingReplay { zero3_prefetch } => {
@@ -1175,71 +1111,6 @@ fn build_schedule(
             )
         };
     match *plan {
-        ActivationPlan::Swap {
-            slots,
-            traffic,
-            t_recompute,
-            ..
-        } => {
-            let costs = LayerCosts {
-                t_fwd: SimTime::from_secs_f64(lt.fwd()),
-                t_bwd: SimTime::from_secs_f64(lt.bwd),
-                t_recompute: SimTime::from_secs_f64(t_recompute),
-                traffic,
-            };
-            let mut staging = staging_for(w, &traffic);
-            // Only layers `i + slots < n` swap, and only those recompute.
-            let swapped_layers = p.layers_local.saturating_sub(slots) as f64;
-            let recompute = swapped_layers * t_recompute;
-            let t_head = SimTime::from_secs_f64(head_secs);
-            if obs.is_none() && segment_cache {
-                // Delta path: the memoized cursor-only recurrence. No
-                // timeline is materialised at all — makespan, busy, idle,
-                // and the staging peak come straight off the scalars.
-                let s = memo_swap::SegmentCache::global()
-                    .schedule_cursor_only(p.layers_local, costs, t_head, &mut staging, slots, true)
-                    .map_err(oohm)?;
-                return Ok(finish_swap(
-                    s.makespan(),
-                    s.compute_busy,
-                    s.compute_idle(),
-                    staging.host_peak(),
-                    recompute,
-                ));
-            }
-            // Unobserved runs — the strategy search's inner loop — take the
-            // cursor-only fast path (steady-state layer splicing, no spans);
-            // observed runs keep the fully recorded Figure-11 timeline. The
-            // two are bit-identical on every metric (swap's differential
-            // suite), so the choice is invisible to the outcome.
-            let level = if obs.is_some() {
-                RecordLevel::Full
-            } else {
-                RecordLevel::CursorOnly
-            };
-            let mut sched = memo_swap::schedule::build_iteration_schedule_recorded(
-                p.layers_local,
-                costs,
-                t_head,
-                &mut staging,
-                p.split.total(),
-                slots,
-                level,
-            )
-            .map_err(oohm)?;
-            if let Some(o) = obs {
-                // The three-stream schedule already *is* a timeline; hand
-                // it over instead of letting the pipeline drop it.
-                o.timeline = Some(std::mem::take(&mut sched.timeline));
-            }
-            Ok(finish_swap(
-                sched.makespan,
-                sched.compute_busy,
-                sched.compute_idle,
-                sched.host_peak,
-                recompute,
-            ))
-        }
         ActivationPlan::MixedSwap {
             swap_layers,
             slots,
@@ -1247,34 +1118,41 @@ fn build_schedule(
             t_recompute,
             ..
         } => {
-            use memo_swap::segmented::{LayerSegment, SegmentPolicy};
             let costs = LayerCosts {
                 t_fwd: SimTime::from_secs_f64(lt.fwd()),
                 t_bwd: SimTime::from_secs_f64(lt.bwd),
                 t_recompute: SimTime::from_secs_f64(t_recompute),
                 traffic,
             };
-            // [Swap × k][Recompute × rec][Retained × last slots]: recompute
-            // layers re-forward in full (`lt.fwd()`); at `rec = 0` this is
-            // bit-identical to the uniform schedule (swap's differential
-            // suite pins it).
             let n = p.layers_local;
-            let retained = slots.min(n);
-            let k = swap_layers.min(n - retained);
-            let rec = n - k - retained;
-            let mut refwd_costs = costs;
-            refwd_costs.t_recompute = SimTime::from_secs_f64(lt.fwd());
-            let segments = [
-                LayerSegment::new(k, SegmentPolicy::Swap, costs),
-                LayerSegment::new(rec, SegmentPolicy::Recompute, refwd_costs),
-                LayerSegment::new(retained, SegmentPolicy::Retained, costs),
-            ];
+            let segments = memo_swap::layer_layout(n, swap_layers, slots, costs);
+            // Swap layers recompute their token slice, recompute layers
+            // re-forward in full (`lt.fwd()`).
+            let recompute =
+                segments[0].count as f64 * t_recompute + segments[1].count as f64 * lt.fwd();
             let mut staging = staging_for(w, &traffic);
-            let recompute = k as f64 * t_recompute + rec as f64 * lt.fwd();
             let t_head = SimTime::from_secs_f64(head_secs);
             if obs.is_none() {
-                let s = memo_swap::build_segmented_scalars(&segments, t_head, &mut staging, slots)
-                    .map_err(oohm)?;
+                // Unobserved runs — the strategy search's inner loop — take
+                // the scalar recurrence (no spans), memoized on the delta
+                // path. Observed runs keep the fully recorded Figure-11
+                // timeline. The two are bit-identical on every metric
+                // (swap's differential suite), so the choice is invisible
+                // to the outcome.
+                let s = if segment_cache {
+                    memo_swap::SegmentCache::global().schedule_cursor_only(
+                        n,
+                        swap_layers,
+                        costs,
+                        t_head,
+                        &mut staging,
+                        slots,
+                        true,
+                    )
+                } else {
+                    memo_swap::build_segmented_scalars(&segments, t_head, &mut staging, slots)
+                }
+                .map_err(oohm)?;
                 return Ok(finish_swap(
                     s.makespan(),
                     s.compute_busy,
@@ -1293,6 +1171,8 @@ fn build_schedule(
             )
             .map_err(oohm)?;
             if let Some(o) = obs {
+                // The three-stream schedule already *is* a timeline; hand
+                // it over instead of letting the pipeline drop it.
                 o.timeline = Some(std::mem::take(&mut sched.timeline));
             }
             Ok(finish_swap(

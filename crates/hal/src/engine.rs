@@ -472,8 +472,8 @@ impl Timeline {
     }
 
     /// Advance a stream's cursor to `max(cursor, to)` without recording an
-    /// op — the splice primitive: steady-state layer splicing computes a
-    /// run of op end-times analytically and lands the cursor here. Pending
+    /// op — the splice primitive: a caller that computes a run of op
+    /// end-times analytically lands the cursor here. Pending
     /// waits are drained into the cursor exactly as an enqueue would.
     pub fn advance_cursor(&mut self, stream: StreamId, to: SimTime) {
         let s = &mut self.streams[stream.0];

@@ -293,13 +293,19 @@ mod tests {
 /// ```
 ///
 /// Host rows are preferred (PCIe is faster), so `α_host` is solved first.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+///
+/// Test oracle only: production runs the two-tier program as
+/// [`solve_alpha_tiered`] with one extra link, which reduces to this
+/// solver bit-for-bit (`one_extra_tier_reduces_to_solve_alpha_two_tier`).
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TwoTierSolution {
     pub alpha_host: f64,
     pub alpha_nvme: f64,
     pub host_infeasible_at_zero: bool,
 }
 
+#[cfg(test)]
 impl TwoTierSolution {
     pub fn alpha_total(&self) -> f64 {
         self.alpha_host + self.alpha_nvme
@@ -308,6 +314,7 @@ impl TwoTierSolution {
 
 /// Solve the two-tier program. `nvme_bandwidth = 0` disables the tier and
 /// reduces to [`solve_alpha`].
+#[cfg(test)]
 pub fn solve_alpha_two_tier(
     inp: &AlphaInputs,
     nvme_bandwidth: f64,
@@ -377,7 +384,7 @@ impl TieredSolution {
     }
 }
 
-/// N-tier greedy waterfall generalisation of [`solve_alpha_two_tier`]: the
+/// N-tier greedy waterfall generalisation of the two-tier program: the
 /// host tier is solved by the base α program, then each deeper tier in
 /// chain order absorbs as much of the remaining fraction as its bandwidth
 /// headroom and capacity allow, each tier's spill quantised down to the
@@ -386,8 +393,8 @@ impl TieredSolution {
 /// Nearer tiers are always preferred (their links are faster), which makes
 /// the greedy order optimal for the per-tier-linear program. For chains of
 /// length ≤ 3 (≤ 1 entry in `extra`) this provably reduces to the legacy
-/// solvers — the loop body is the exact expression sequence of
-/// [`solve_alpha_two_tier`], so `extra == []` returns `[solve_alpha(..)
+/// solvers — the loop body is the exact expression sequence of the
+/// two-tier test oracle `solve_alpha_two_tier`, so `extra == []` returns `[solve_alpha(..)
 /// .alpha]` and `extra == [nvme]` returns the two-tier solution
 /// bit-for-bit (differential-tested in `tiered_tests`).
 pub fn solve_alpha_tiered(inp: &AlphaInputs, extra: &[TierLink]) -> TieredSolution {

@@ -328,7 +328,7 @@ mod tests {
         // offload event. With no `offload_complete` in between (the
         // schedule builders never await offloads mid-forward), the wait is
         // unconditional for every layer past the first revolution — the
-        // invariant the schedule fast path's splice relies on.
+        // invariant the scalar schedule recurrence relies on.
         let mut tl = Timeline::new();
         let mut rb = RoundingBuffers::with_slots(3, 64);
         let mut off = Vec::new();

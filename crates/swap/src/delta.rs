@@ -3,26 +3,28 @@
 //! Strategy search evaluates dense grids of candidates whose schedules
 //! differ in a single knob — and re-evaluates the *same* schedule inputs
 //! across sweep passes, serving queries, and lockstep verification legs.
-//! The [`SegmentCache`] memoizes the scalar result of the cursor-only fast
-//! path ([`build_fast_scalars`]) keyed by a bit-exact fingerprint of every
-//! input the recurrence reads: layer count, buffer slots, per-layer costs
+//! The [`SegmentCache`] memoizes the scalar recurrence
+//! ([`build_segmented_scalars`]) over the [`layer_layout`] of a build,
+//! keyed by a bit-exact fingerprint of every input the recurrence reads:
+//! layer count, swap-layer count, buffer slots, per-layer costs
 //! (fwd/bwd/recompute times and the whole [`TierTrafficList`]), the head
 //! block, and the *entry state* of every staging pool (capacity and used
 //! bytes). Because the recurrence is a pure function of exactly these
 //! inputs, a hit can skip the simulation entirely and replay only the
-//! staging side effects in bulk through the PR 5 splice primitives
+//! staging side effects in bulk through the batched primitives
 //! ([`TierStaging::reserve_layers`] / [`TierStaging::release_layers`]),
 //! whose contract is state- and error-identical to the sequential
 //! per-layer loop. Failed builds are memoized too: a hit on an
 //! out-of-tier-memory entry replays the sequential reservation up to the
 //! failing layer, leaving the exact partial state the real build leaves.
 //!
-//! Divergence rules (fall back to the full fast path, counted in
+//! Divergence rules (fall back to the uncached recurrence, counted in
 //! [`SegmentCacheStats::fallbacks`]): cache disabled, caller opted out,
 //! staging narrower than the traffic chain, or a chain/pool shape beyond
 //! the fixed key capacity. See DESIGN.md §2g.
 
-use crate::schedule::{build_fast_scalars, LayerCosts, ScalarSchedule, MAX_TIERS};
+use crate::schedule::{LayerCosts, ScalarSchedule, MAX_TIERS};
+use crate::segmented::{build_segmented_scalars, layer_layout};
 use crate::tiers::{OutOfTierMemory, TierStaging};
 use memo_hal::time::SimTime;
 use std::cell::Cell;
@@ -31,9 +33,9 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// Fixed word capacity of a [`ScheduleKey`]: 7 scalar words, 3 per traffic
+/// Fixed word capacity of a [`ScheduleKey`]: 8 scalar words, 3 per traffic
 /// tier, and 2 per staging pool.
-const MAX_KEY_WORDS: usize = 7 + 3 * MAX_TIERS + 1 + 2 * MAX_TIERS;
+const MAX_KEY_WORDS: usize = 8 + 3 * MAX_TIERS + 1 + 2 * MAX_TIERS;
 
 /// Bit-exact fingerprint of every input the schedule recurrence reads.
 /// Two equal keys imply bit-identical [`ScalarSchedule`]s *and* identical
@@ -45,11 +47,14 @@ pub struct ScheduleKey {
 }
 
 impl ScheduleKey {
-    /// Fingerprint a schedule build. `None` when the shape exceeds the
-    /// fixed key capacity (deeper staging chain than [`MAX_TIERS`]) — the
-    /// caller falls back to the uncached path.
+    /// Fingerprint a schedule build of [`layer_layout`]`(n_layers,
+    /// swap_layers, slots, costs)`; pass the layout's clamped swap count so
+    /// that equal layouts share a key. `None` when the shape
+    /// exceeds the fixed key capacity (deeper staging chain than
+    /// [`MAX_TIERS`]) — the caller falls back to the uncached path.
     pub fn new(
         n_layers: usize,
+        swap_layers: usize,
         costs: &LayerCosts,
         t_head: SimTime,
         staging: &TierStaging,
@@ -65,6 +70,7 @@ impl ScheduleKey {
             n += 1;
         };
         push(n_layers as u64);
+        push(swap_layers as u64);
         push(slots as u64);
         push(t_head.0);
         push(costs.t_fwd.0);
@@ -289,40 +295,45 @@ impl SegmentCache {
         bump_scope(|s| s.fallbacks += 1);
     }
 
-    /// Cursor-only schedule build through the cache.
+    /// Cursor-only build of [`layer_layout`]`(n_layers, swap_layers, slots,
+    /// costs)` through the cache.
     ///
     /// * **Hit (Ok)**: return the memoized scalars and replay the staging
-    ///   effects in bulk — `swapped` reserves then `swapped` releases, the
-    ///   exact sequence the fast path performs (all reserves precede all
-    ///   releases), via the batched splice primitives whose state and
-    ///   errors match the sequential loop bit-for-bit.
+    ///   effects in bulk — one reserve per swap layer, then as many
+    ///   releases, the exact sequence the recurrence performs (all reserves
+    ///   precede all releases), via the batched primitives whose
+    ///   state and errors match the sequential loop bit-for-bit.
     /// * **Hit (Err)**: replay the sequential reservation until it fails,
     ///   reproducing the error and the partial staging state of the real
     ///   build.
-    /// * **Miss**: run [`build_fast_scalars`] and memoize its result
+    /// * **Miss**: run [`build_segmented_scalars`] and memoize its result
     ///   (failures included).
     /// * **Divergence** (disabled / `use_cache == false` / staging narrower
     ///   than the traffic chain / shape beyond the key capacity): run the
-    ///   fast path uncached.
+    ///   recurrence uncached.
+    #[allow(clippy::too_many_arguments)] // the layout's inputs plus the cache knob
     pub fn schedule_cursor_only(
         &self,
         n_layers: usize,
+        swap_layers: usize,
         costs: LayerCosts,
         t_head: SimTime,
         staging: &mut TierStaging,
         slots: usize,
         use_cache: bool,
     ) -> Result<ScalarSchedule, OutOfTierMemory> {
-        if !use_cache
+        let layout = layer_layout(n_layers, swap_layers, slots, costs);
+        let key = if !use_cache
             || !self.enabled.load(Ordering::Relaxed)
             || staging.len() < costs.traffic.len()
         {
+            None
+        } else {
+            ScheduleKey::new(n_layers, layout[0].count, &costs, t_head, staging, slots)
+        };
+        let Some(key) = key else {
             self.count_fallback();
-            return build_fast_scalars(n_layers, costs, t_head, staging, slots);
-        }
-        let Some(key) = ScheduleKey::new(n_layers, &costs, t_head, staging, slots) else {
-            self.count_fallback();
-            return build_fast_scalars(n_layers, costs, t_head, staging, slots);
+            return build_segmented_scalars(&layout, t_head, staging, slots);
         };
         let cached = {
             let shard = lock_shard(self.shard(&key));
@@ -330,7 +341,7 @@ impl SegmentCache {
         };
         if let Some(entry) = cached {
             self.count_hit();
-            let swapped = n_layers.saturating_sub(slots) as u64;
+            let swapped = layout[0].count as u64;
             return match entry {
                 Ok(s) => {
                     if swapped > 0 {
@@ -352,7 +363,7 @@ impl SegmentCache {
             };
         }
         self.count_miss();
-        let result = build_fast_scalars(n_layers, costs, t_head, staging, slots);
+        let result = build_segmented_scalars(&layout, t_head, staging, slots);
         let mut shard = lock_shard(self.shard(&key));
         if shard.len() >= Self::SHARD_CAP {
             shard.clear();
@@ -420,11 +431,11 @@ mod tests {
         let c = costs(1_000_000);
         let mut s1 = TierStaging::single(100_000_000);
         let miss = cache
-            .schedule_cursor_only(12, c, SimTime::from_millis(5), &mut s1, 2, true)
+            .schedule_cursor_only(12, 12, c, SimTime::from_millis(5), &mut s1, 2, true)
             .unwrap();
         let mut s2 = TierStaging::single(100_000_000);
         let hit = cache
-            .schedule_cursor_only(12, c, SimTime::from_millis(5), &mut s2, 2, true)
+            .schedule_cursor_only(12, 12, c, SimTime::from_millis(5), &mut s2, 2, true)
             .unwrap();
         assert_eq!(miss, hit);
         assert_eq!(s1, s2, "staging replay must reproduce used bytes and peaks");
@@ -438,11 +449,11 @@ mod tests {
         let c = costs(1_000_000);
         let mut s1 = TierStaging::single(3 * 1_000_000);
         let e1 = cache
-            .schedule_cursor_only(12, c, SimTime::ZERO, &mut s1, 2, true)
+            .schedule_cursor_only(12, 12, c, SimTime::ZERO, &mut s1, 2, true)
             .unwrap_err();
         let mut s2 = TierStaging::single(3 * 1_000_000);
         let e2 = cache
-            .schedule_cursor_only(12, c, SimTime::ZERO, &mut s2, 2, true)
+            .schedule_cursor_only(12, 12, c, SimTime::ZERO, &mut s2, 2, true)
             .unwrap_err();
         assert_eq!(e1, e2);
         assert_eq!(s1, s2, "partial commit state must match the real build");
@@ -457,11 +468,11 @@ mod tests {
         let c = costs(1_000_000);
         let mut fresh = TierStaging::single(10 * 1_000_000);
         cache
-            .schedule_cursor_only(12, c, SimTime::ZERO, &mut fresh, 2, true)
+            .schedule_cursor_only(12, 12, c, SimTime::ZERO, &mut fresh, 2, true)
             .unwrap();
         let mut dirty = TierStaging::single(10 * 1_000_000);
         dirty.reserve_layer(&c.traffic).unwrap();
-        let r = cache.schedule_cursor_only(12, c, SimTime::ZERO, &mut dirty, 2, true);
+        let r = cache.schedule_cursor_only(12, 12, c, SimTime::ZERO, &mut dirty, 2, true);
         assert_eq!(cache.stats().hits, 0, "dirty pool must miss");
         // 10 layers swap but only 9 more layers fit on top of the 1 staged.
         assert!(r.is_err());
@@ -480,13 +491,19 @@ mod tests {
                         let mut b = TierStaging::single(8 * 2_000_000);
                         let via = cache.schedule_cursor_only(
                             n,
+                            n,
                             c,
                             SimTime::from_millis(1),
                             &mut a,
                             slots,
                             true,
                         );
-                        let raw = build_fast_scalars(n, c, SimTime::from_millis(1), &mut b, slots);
+                        let raw = build_segmented_scalars(
+                            &layer_layout(n, n, slots, c),
+                            SimTime::from_millis(1),
+                            &mut b,
+                            slots,
+                        );
                         assert_eq!(via, raw);
                         assert_eq!(a, b);
                     }
@@ -496,16 +513,57 @@ mod tests {
     }
 
     #[test]
+    fn mixed_layouts_hit_bit_identical_to_the_uncached_recurrence() {
+        // 0 < swap_layers < n − slots: swap, recompute and retained layers
+        // all present. Miss, hit and the uncached recurrence agree on the
+        // scalars and the staging state after the call — for a fitting
+        // build and for a memoized out-of-tier failure alike.
+        let cache = SegmentCache::new();
+        let c = costs(1_000_000);
+        let (n, slots) = (12usize, 2usize);
+        for (swap_layers, capacity) in [(5usize, 100_000_000u64), (7, 3 * 1_000_000)] {
+            let layout = layer_layout(n, swap_layers, slots, c);
+            assert!(layout.iter().all(|seg| seg.count > 0));
+            let mut raw_staging = TierStaging::single(capacity);
+            let raw =
+                build_segmented_scalars(&layout, SimTime::from_millis(5), &mut raw_staging, slots);
+            for _ in 0..2 {
+                let mut s = TierStaging::single(capacity);
+                let via = cache.schedule_cursor_only(
+                    n,
+                    swap_layers,
+                    c,
+                    SimTime::from_millis(5),
+                    &mut s,
+                    slots,
+                    true,
+                );
+                assert_eq!(via, raw, "k = {swap_layers}");
+                assert_eq!(s, raw_staging, "k = {swap_layers}: staging state");
+            }
+            assert_eq!(raw.is_err(), capacity < 100_000_000);
+        }
+        let st = cache.stats();
+        assert_eq!((st.hits, st.misses, st.fallbacks), (2, 2, 0));
+        // The uniform layout of the same shape is a different key.
+        let mut s = TierStaging::single(100_000_000);
+        cache
+            .schedule_cursor_only(n, n, c, SimTime::from_millis(5), &mut s, slots, true)
+            .unwrap();
+        assert_eq!(cache.stats().misses, 3);
+    }
+
+    #[test]
     fn opt_out_and_disable_bypass_the_cache() {
         let cache = SegmentCache::new();
         let c = costs(1_000_000);
         let mut s = TierStaging::unbounded(1);
         cache
-            .schedule_cursor_only(8, c, SimTime::ZERO, &mut s, 2, false)
+            .schedule_cursor_only(8, 8, c, SimTime::ZERO, &mut s, 2, false)
             .unwrap();
         cache.set_enabled(false);
         cache
-            .schedule_cursor_only(8, c, SimTime::ZERO, &mut s, 2, true)
+            .schedule_cursor_only(8, 8, c, SimTime::ZERO, &mut s, 2, true)
             .unwrap();
         let st = cache.stats();
         assert_eq!((st.hits, st.misses, st.fallbacks), (0, 0, 2));
@@ -521,7 +579,7 @@ mod tests {
         let c = costs(1_000_000);
         let mut s1 = TierStaging::single(100_000_000);
         let before = cache
-            .schedule_cursor_only(12, c, SimTime::from_millis(5), &mut s1, 2, true)
+            .schedule_cursor_only(12, 12, c, SimTime::from_millis(5), &mut s1, 2, true)
             .unwrap();
         // Poison every shard so the test does not depend on which shard
         // the key hashes to.
@@ -537,13 +595,13 @@ mod tests {
         // cleared), bit-identical, and memoized again.
         let mut s2 = TierStaging::single(100_000_000);
         let after = cache
-            .schedule_cursor_only(12, c, SimTime::from_millis(5), &mut s2, 2, true)
+            .schedule_cursor_only(12, 12, c, SimTime::from_millis(5), &mut s2, 2, true)
             .unwrap();
         assert_eq!(before, after);
         assert_eq!(s1, s2);
         let mut s3 = TierStaging::single(100_000_000);
         let hit = cache
-            .schedule_cursor_only(12, c, SimTime::from_millis(5), &mut s3, 2, true)
+            .schedule_cursor_only(12, 12, c, SimTime::from_millis(5), &mut s3, 2, true)
             .unwrap();
         assert_eq!(before, hit);
         // miss (cold), miss (post-poison recompute), then a clean hit.
@@ -573,13 +631,13 @@ mod tests {
                 for _ in 0..reps {
                     let mut s = TierStaging::single(100_000_000);
                     cache
-                        .schedule_cursor_only(12, c, SimTime::ZERO, &mut s, 2, true)
+                        .schedule_cursor_only(12, 12, c, SimTime::ZERO, &mut s, 2, true)
                         .unwrap();
                 }
                 // One fallback, attributed to this scope only.
                 let mut s = TierStaging::single(100_000_000);
                 cache
-                    .schedule_cursor_only(12, c, SimTime::ZERO, &mut s, 2, false)
+                    .schedule_cursor_only(12, 12, c, SimTime::ZERO, &mut s, 2, false)
                     .unwrap();
                 scope.finish()
             })
@@ -602,12 +660,12 @@ mod tests {
         let outer = SegmentStatsScope::enter();
         let mut s = TierStaging::single(100_000_000);
         cache
-            .schedule_cursor_only(12, c, SimTime::ZERO, &mut s, 2, true)
+            .schedule_cursor_only(12, 12, c, SimTime::ZERO, &mut s, 2, true)
             .unwrap();
         let inner = SegmentStatsScope::enter();
         let mut s2 = TierStaging::single(100_000_000);
         cache
-            .schedule_cursor_only(12, c, SimTime::ZERO, &mut s2, 2, true)
+            .schedule_cursor_only(12, 12, c, SimTime::ZERO, &mut s2, 2, true)
             .unwrap();
         let si = inner.finish();
         assert_eq!((si.hits, si.misses), (1, 0));
@@ -637,17 +695,17 @@ mod tests {
         );
         let mut a = TierStaging::new(&[u64::MAX / 2, 10 * 400_000]);
         let first = cache
-            .schedule_cursor_only(10, c, SimTime::ZERO, &mut a, 2, true)
+            .schedule_cursor_only(10, 10, c, SimTime::ZERO, &mut a, 2, true)
             .unwrap();
         // Same shape, deeper tier smaller: must miss and fail on tier 1.
         let mut b = TierStaging::new(&[u64::MAX / 2, 3 * 400_000]);
         let err = cache
-            .schedule_cursor_only(10, c, SimTime::ZERO, &mut b, 2, true)
+            .schedule_cursor_only(10, 10, c, SimTime::ZERO, &mut b, 2, true)
             .unwrap_err();
         assert_eq!(err.tier, 1);
         let mut a2 = TierStaging::new(&[u64::MAX / 2, 10 * 400_000]);
         let hit = cache
-            .schedule_cursor_only(10, c, SimTime::ZERO, &mut a2, 2, true)
+            .schedule_cursor_only(10, 10, c, SimTime::ZERO, &mut a2, 2, true)
             .unwrap();
         assert_eq!(first, hit);
         assert_eq!(cache.stats().hits, 1);

@@ -67,8 +67,9 @@ impl HostStaging {
     }
 
     /// Stage `count` reservations of `bytes` each, with semantics identical
-    /// to `count` sequential [`Self::reserve`] calls — the splice primitive
-    /// of the schedule fast path. On overflow, the reservations that fit
+    /// to `count` sequential [`Self::reserve`] calls (the batched replay
+    /// primitive under [`crate::TierStaging::reserve_layers`]). On
+    /// overflow, the reservations that fit
     /// are committed (exactly as the sequential loop would leave them) and
     /// the error reports the state at the first failing reservation.
     pub fn reserve_many(&mut self, bytes: u64, count: u64) -> Result<(), OutOfHostMemory> {
@@ -97,7 +98,7 @@ impl HostStaging {
     }
 
     /// Release `count` reservations of `bytes` each ([`Self::release`]
-    /// batched for the schedule fast path).
+    /// batched, the counterpart of [`Self::reserve_many`]).
     pub fn release_many(&mut self, bytes: u64, count: u64) {
         let total = bytes * count;
         assert!(total <= self.used, "releasing more than staged");
@@ -193,7 +194,7 @@ mod tests {
     #[test]
     fn unbounded_headroom_cannot_overflow() {
         let mut h = HostStaging::unbounded();
-        // A pathological splice request: the `fit` computation must not
+        // A pathological batched request: the `fit` computation must not
         // overflow even at the largest representable per-layer size.
         assert!(h.reserve_many(u64::MAX / 4, 2).is_ok());
         assert_eq!(h.used(), u64::MAX / 2 - 1);
@@ -203,7 +204,7 @@ mod tests {
 
     #[test]
     fn reserve_many_matches_sequential_loop() {
-        // The batched splice primitive must leave the tracker in exactly
+        // The batched primitive must leave the tracker in exactly
         // the state `count` sequential reserves would — pass and fail alike.
         for capacity in [0u64, 1, 10, 35, 36, 100] {
             for bytes in [1u64, 7, 12] {

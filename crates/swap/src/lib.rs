@@ -13,7 +13,8 @@
 //!   ([`buffers`]). When `α = 0` a single buffer suffices (§4.1 special
 //!   case).
 //! * The offload / prefetch / recompute operations are laid out on three
-//!   streams ([`schedule`]) exactly as in Figure 11.
+//!   streams exactly as in Figure 11 ([`schedule`] holds the inputs and
+//!   results, [`segmented`] the one simulator and its layer layout).
 //! * Host staging capacity (and OOHM) is tracked by [`host`]; the N-tier
 //!   offload chain keeps one such pool per tier in [`tiers`], and the
 //!   α program generalises to a per-tier greedy waterfall
@@ -47,6 +48,7 @@ pub use schedule::{
     ScheduleOutcome, TierTraffic, TierTrafficList, MAX_TIERS,
 };
 pub use segmented::{
-    build_segmented_scalars, build_segmented_schedule_recorded, LayerSegment, SegmentPolicy,
+    build_segmented_scalars, build_segmented_schedule_recorded, layer_layout, LayerSegment,
+    SegmentPolicy,
 };
 pub use tiers::{OutOfTierMemory, TierStaging};

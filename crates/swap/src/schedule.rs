@@ -14,14 +14,16 @@
 //! per-tier transfer times (the chain is traversed serially), and each
 //! tier's bytes are tracked in its own [`TierStaging`] pool.
 //!
-//! The builder returns both the timings (from which MFU/TGS derive) and the
-//! populated [`Timeline`] (for Figure 11 rendering); it reports an
-//! out-of-tier failure if the staged activations overflow any pool — the
-//! simulation's `X_oohm` when the host tier binds.
+//! This module holds the schedule's inputs and results; the simulator
+//! itself is [`crate::segmented`], and the builders here are its uniform
+//! token-wise layout. A build returns both the timings (from which MFU/TGS
+//! derive) and the populated [`Timeline`] (for Figure 11 rendering); it
+//! reports an out-of-tier failure if the staged activations overflow any
+//! pool — the simulation's `X_oohm` when the host tier binds.
 
-use crate::buffers::RoundingBuffers;
+use crate::segmented::{build_segmented_schedule_recorded, layer_layout};
 use crate::tiers::{OutOfTierMemory, TierStaging};
-use memo_hal::engine::{CursorSegment, RecordLevel, StreamId, Timeline};
+use memo_hal::engine::{CursorSegment, RecordLevel, Timeline};
 use memo_hal::time::SimTime;
 
 /// Maximum offload tiers a layer's traffic can span (chain depth below GPU
@@ -208,8 +210,8 @@ pub struct ScheduleOutcome {
 }
 
 /// Scalar results of a cursor-only schedule build — everything besides the
-/// timeline and the staging side effects. Small and `Copy` so the delta
-/// layer ([`crate::delta`]) can memoize it and replay the staging effects
+/// timeline and the staging side effects. Small and `Copy` so the segment
+/// cache ([`crate::delta`]) can memoize it and replay the staging effects
 /// in bulk without re-running the recurrence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScalarSchedule {
@@ -239,7 +241,7 @@ impl ScalarSchedule {
         self.makespan().saturating_sub(self.compute_busy)
     }
 
-    /// Materialise the cursor-only [`ScheduleOutcome`] the fast path
+    /// Materialise the cursor-only [`ScheduleOutcome`] the scalar path
     /// returns: a 3-stream timeline carrying exactly these cursors and
     /// busy totals, landed through the [`CursorSegment`] splice.
     pub fn into_outcome(self, staging: &TierStaging) -> ScheduleOutcome {
@@ -261,14 +263,6 @@ impl ScalarSchedule {
             timeline: tl,
         }
     }
-}
-
-/// Streams created by the builder, in order.
-#[derive(Debug, Clone, Copy)]
-struct Streams {
-    compute: StreamId,
-    offload: StreamId,
-    prefetch: StreamId,
 }
 
 /// Build the full transformer-layer schedule with a `t_head` block (final
@@ -308,17 +302,17 @@ pub fn build_iteration_schedule_with_slots(
     )
 }
 
-/// [`build_iteration_schedule_with_slots`] with an explicit recording level.
+/// [`build_iteration_schedule_with_slots`] with an explicit recording level:
+/// the uniform layout `[Swap × (n − slots)][Retained × min(n, slots)]` of
+/// [`layer_layout`] through [`build_segmented_schedule_recorded`].
 ///
 /// * [`RecordLevel::Full`] runs the event-machinery simulation and returns a
 ///   timeline with every span and mark — the `--trace`/Figure-11 path.
-/// * [`RecordLevel::CursorOnly`] runs the steady-state fast path: the layer
-///   recurrence is evaluated in scalar u64 arithmetic, and once the
-///   homogeneous mid-layer region settles into a constant per-layer delta,
-///   the remaining layers are spliced in closed form. Makespan, per-stream
-///   cursors, busy times, per-tier peaks and out-of-tier errors are
-///   bit-identical to the `Full` run (asserted by `tests/differential.rs`);
-///   the returned timeline carries cursors and busy totals but no spans.
+/// * [`RecordLevel::CursorOnly`] runs the scalar recurrence. Makespan,
+///   per-stream cursors, busy times, per-tier peaks and out-of-tier errors
+///   are bit-identical to the `Full` run (asserted by
+///   `tests/differential.rs`); the returned timeline carries cursors and
+///   busy totals but no spans.
 pub fn build_iteration_schedule_recorded(
     n_layers: usize,
     costs: LayerCosts,
@@ -328,332 +322,14 @@ pub fn build_iteration_schedule_recorded(
     slots: usize,
     level: RecordLevel,
 ) -> Result<ScheduleOutcome, OutOfTierMemory> {
-    assert!(n_layers >= 1);
-    match level {
-        RecordLevel::Full => {
-            build_event_loop(n_layers, costs, t_head, staging, buffer_bytes, slots)
-        }
-        RecordLevel::CursorOnly => build_fast(n_layers, costs, t_head, staging, slots),
-    }
-}
-
-/// The full event-machinery simulation (every op a span, every dependency a
-/// recorded event), with arenas pre-sized from the exact op counts.
-fn build_event_loop(
-    n_layers: usize,
-    costs: LayerCosts,
-    t_head: SimTime,
-    staging: &mut TierStaging,
-    buffer_bytes: u64,
-    slots: usize,
-) -> Result<ScheduleOutcome, OutOfTierMemory> {
-    let mut tl = Timeline::new();
-    // Exact op counts: `swapped` layers offload in the forward pass and
-    // prefetch + (optionally) recompute in the backward pass.
-    let n = n_layers;
-    let swapped = n.saturating_sub(slots);
-    let n_spans = 2 * n
-        + 2 * swapped
-        + usize::from(t_head > SimTime::ZERO)
-        + if costs.t_recompute > SimTime::ZERO {
-            swapped
-        } else {
-            0
-        };
-    let n_events = 2 * n + 2 * swapped;
-    // Marks: one per recorded event, plus the four wait sites (forward
-    // compute, offload, backward compute, prefetch) — `swapped` each.
-    tl.reserve_ops(n_spans, n_events + 4 * swapped, n_events);
-    let s = Streams {
-        compute: tl.add_stream("compute"),
-        offload: tl.add_stream("offload"),
-        prefetch: tl.add_stream("prefetch"),
-    };
-    let mut buffers = RoundingBuffers::with_slots(slots, buffer_bytes);
-    let t_transfer = costs.t_transfer();
-    // Layers that swap: all but the last `slots`.
-    let swaps = |layer: usize| layer + slots < n_layers;
-
-    // ---- forward ------------------------------------------------------------
-    for layer in 0..n_layers {
-        if let Some(ev) = buffers.acquire_for_forward(layer) {
-            tl.wait_event(s.compute, ev);
-        }
-        tl.enqueue_fmt(s.compute, costs.t_fwd, format_args!("fwd L{layer}"));
-        let fwd_done = tl.record_event(s.compute);
-        if swaps(layer) {
-            staging.reserve_layer(&costs.traffic)?;
-            tl.wait_event(s.offload, fwd_done);
-            tl.enqueue_fmt(s.offload, t_transfer, format_args!("off L{layer}"));
-            let off_done = tl.record_event(s.offload);
-            buffers.offload_enqueued(layer, off_done);
-        } else {
-            buffers.retain_for_backward(layer);
-        }
-    }
-    let forward_end = tl.stream_cursor(s.compute);
-
-    // ---- head (final norm, classifier, loss) --------------------------------
-    if t_head > SimTime::ZERO {
-        tl.enqueue(s.compute, t_head, "head");
-    }
-
-    // ---- backward -----------------------------------------------------------
-    for layer in (0..n_layers).rev() {
-        if swaps(layer) {
-            // The prefetch was enqueued when layer+2's backward finished.
-            let pf_done = buffers.prefetch_complete(layer);
-            tl.wait_event(s.compute, pf_done);
-            if costs.t_recompute > SimTime::ZERO {
-                tl.enqueue_fmt(s.compute, costs.t_recompute, format_args!("remat L{layer}"));
-            }
-        }
-        tl.enqueue_fmt(s.compute, costs.t_bwd, format_args!("bwd L{layer}"));
-        let bwd_done = tl.record_event(s.compute);
-        buffers.release_after_backward(layer);
-        if swaps(layer) {
-            staging.release_layer(&costs.traffic);
-        }
-        // Kick the prefetch of the slot's next occupant now that it's free.
-        if layer >= slots && swaps(layer - slots) {
-            tl.wait_event(s.prefetch, bwd_done);
-            tl.enqueue_fmt(
-                s.prefetch,
-                t_transfer,
-                format_args!("pf L{}", layer - slots),
-            );
-            let pf_done = tl.record_event(s.prefetch);
-            buffers.prefetch_enqueued(layer - slots, pf_done);
-        }
-    }
-
-    tl.check_causality().expect("schedule must be causal");
-    let makespan = tl.makespan();
-    let compute_busy = tl.busy_time(s.compute);
-    Ok(ScheduleOutcome {
-        forward_end,
-        makespan,
-        compute_busy,
-        compute_idle: makespan.saturating_sub(compute_busy),
-        host_peak: staging.host_peak(),
-        timeline: tl,
-    })
-}
-
-/// `t × k` in integer nanoseconds — exact, and identical to `k` repeated
-/// additions (which is what the splice replaces).
-fn scale(t: SimTime, k: u64) -> SimTime {
-    SimTime(t.as_nanos() * k)
-}
-
-/// `base + rel` for a signed relative offset captured by the steady-state
-/// detector. The result is always a valid (non-negative) time: offsets are
-/// differences of event times within one iteration.
-fn offset(base: SimTime, rel: i128) -> SimTime {
-    let t = base.as_nanos() as i128 + rel;
-    debug_assert!(t >= 0, "relative offset escaped the clock");
-    SimTime(t as u64)
-}
-
-/// Detects the steady state of the homogeneous mid-layer region.
-///
-/// After each mid-region layer the recurrence is summarised *relative to
-/// the compute cursor*: the IO-stream cursor offset and the ring of
-/// in-flight transfer completion offsets, in next-read order. The next
-/// layer's transition is a pure function of this relative state, so two
-/// consecutive layers with equal state imply every remaining mid layer
-/// repeats the same transition — each advancing all clocks by the same
-/// `delta` — and can be spliced in closed form. Heterogeneous regions
-/// (state never repeats) simply never trigger the splice and fall through
-/// to per-layer simulation.
-struct SteadyDetector {
-    slots: usize,
-    prev_c: SimTime,
-    /// `[rel_io, rel_ring[0..slots]]` of the previous layer.
-    prev: Vec<i128>,
-    prev_valid: bool,
-    cur: Vec<i128>,
-}
-
-impl SteadyDetector {
-    fn new(slots: usize) -> Self {
-        SteadyDetector {
-            slots,
-            prev_c: SimTime::ZERO,
-            prev: Vec::with_capacity(slots + 1),
-            prev_valid: false,
-            cur: Vec::with_capacity(slots + 1),
-        }
-    }
-
-    fn reset(&mut self) {
-        self.prev_valid = false;
-        self.prev.clear();
-    }
-
-    /// Feed the state after one mid-region layer (`ring(j)` = the j-th
-    /// in-flight completion time in next-read order). Returns the steady
-    /// per-layer advance once two consecutive layers match.
-    fn push(
-        &mut self,
-        c: SimTime,
-        io: SimTime,
-        ring: impl Fn(usize) -> SimTime,
-    ) -> Option<SimTime> {
-        let rel = |t: SimTime| t.as_nanos() as i128 - c.as_nanos() as i128;
-        self.cur.clear();
-        self.cur.push(rel(io));
-        for j in 0..self.slots {
-            self.cur.push(rel(ring(j)));
-        }
-        let steady = self.prev_valid && self.cur == self.prev;
-        let delta = c.saturating_sub(self.prev_c);
-        std::mem::swap(&mut self.prev, &mut self.cur);
-        self.prev_valid = true;
-        self.prev_c = c;
-        if steady {
-            Some(delta)
-        } else {
-            None
-        }
-    }
-
-    /// The relative state of the layer last pushed: `(rel_io, rel_ring)`.
-    fn state(&self) -> (i128, &[i128]) {
-        (self.prev[0], &self.prev[1..])
-    }
-}
-
-/// The cursor-only fast path: the same recurrence as [`build_event_loop`],
-/// evaluated in scalar u64 arithmetic with the steady mid-layer region
-/// spliced analytically. See DESIGN.md §2e for the bit-exactness argument.
-fn build_fast(
-    n_layers: usize,
-    costs: LayerCosts,
-    t_head: SimTime,
-    staging: &mut TierStaging,
-    slots: usize,
-) -> Result<ScheduleOutcome, OutOfTierMemory> {
-    let s = build_fast_scalars(n_layers, costs, t_head, staging, slots)?;
-    Ok(s.into_outcome(staging))
-}
-
-/// The scalar core of the cursor-only fast path: runs the layer recurrence
-/// (with the steady mid-layer splice) against `staging` and returns the
-/// resulting cursors and busy totals without building a timeline. This is
-/// the unit the segment cache ([`crate::delta`]) memoizes; callers wanting
-/// a [`ScheduleOutcome`] use [`ScalarSchedule::into_outcome`].
-pub fn build_fast_scalars(
-    n_layers: usize,
-    costs: LayerCosts,
-    t_head: SimTime,
-    staging: &mut TierStaging,
-    slots: usize,
-) -> Result<ScalarSchedule, OutOfTierMemory> {
-    let n = n_layers;
-    let tf = costs.t_fwd;
-    let tb = costs.t_bwd;
-    let tr = costs.t_recompute;
-    let tt = costs.t_transfer();
-    let swapped = n.saturating_sub(slots) as u64;
-    // Layers in [slots, mid_end) both wait on their slot and swap — the
-    // homogeneous region the splice targets.
-    let mid_end = n.saturating_sub(slots);
-    let mut detect = SteadyDetector::new(slots);
-
-    // ---- forward ------------------------------------------------------------
-    // c/o: compute and offload stream cursors; off_end[i % slots]: completion
-    // time of the in-flight offload occupying slot i % slots.
-    let mut c = SimTime::ZERO;
-    let mut o = SimTime::ZERO;
-    let mut off_end = vec![SimTime::ZERO; slots];
-    let mut i = 0usize;
-    while i < n {
-        if i >= slots {
-            // The slot's previous occupant (layer i − slots) is offloading.
-            c = c.max(off_end[i % slots]);
-        }
-        c += tf;
-        if i + slots < n {
-            staging.reserve_layer(&costs.traffic)?;
-            o = o.max(c) + tt;
-            off_end[i % slots] = o;
-        }
-        if i >= slots && i + 1 < mid_end {
-            if let Some(delta) = detect.push(c, o, |j| off_end[(i + 1 + j) % slots]) {
-                // Steady: splice layers i+1 ..= mid_end−1 in one step.
-                let m = mid_end - 1;
-                let k = (m - i) as u64;
-                staging.reserve_layers(&costs.traffic, k)?;
-                c += scale(delta, k);
-                let (rel_io, rel_ring) = detect.state();
-                o = offset(c, rel_io);
-                for (j, &r) in rel_ring.iter().enumerate() {
-                    off_end[(m + 1 + j) % slots] = offset(c, r);
-                }
-                i = m;
-            }
-        }
-        i += 1;
-    }
-    let forward_end = c;
-
-    // ---- head (adding a zero-length head is a no-op, as in the event loop) --
-    c += t_head;
-
-    // ---- backward -----------------------------------------------------------
-    detect.reset();
-    let mut p = SimTime::ZERO;
-    let mut pf_end = vec![SimTime::ZERO; slots];
-    let mut i = n;
-    while i > 0 {
-        let layer = i - 1;
-        let swaps_l = layer + slots < n;
-        if swaps_l {
-            // Wait for the prefetch kicked by layer layer+slots's backward,
-            // then recompute the non-swapped token slice.
-            c = c.max(pf_end[layer % slots]) + tr;
-        }
-        c += tb;
-        if swaps_l {
-            staging.release_layer(&costs.traffic);
-        }
-        if layer >= slots {
-            // Layer layer−slots always swaps here; its prefetch starts when
-            // this backward frees the shared slot (layer % slots).
-            p = p.max(c) + tt;
-            pf_end[layer % slots] = p;
-        }
-        if layer > slots && layer < mid_end {
-            if let Some(delta) = detect.push(c, p, |j| pf_end[(layer - 1 - j) % slots]) {
-                // Steady: splice layers layer−1 ..= slots in one step.
-                let k = (layer - slots) as u64;
-                staging.release_layers(&costs.traffic, k);
-                c += scale(delta, k);
-                let (rel_io, rel_ring) = detect.state();
-                p = offset(c, rel_io);
-                for (j, &r) in rel_ring.iter().enumerate() {
-                    pf_end[(slots - 1 - j) % slots] = offset(c, r);
-                }
-                i = slots + 1;
-            }
-        }
-        i -= 1;
-    }
-
-    // Busy times as the event loop accumulates them (commutative u64 sums
-    // of the same durations, so bit-identical).
-    let compute_busy = scale(tf, n as u64) + t_head + scale(tr, swapped) + scale(tb, n as u64);
-    let io_busy = scale(tt, swapped);
-
-    Ok(ScalarSchedule {
-        forward_end,
-        compute_end: c,
-        offload_end: o,
-        prefetch_end: p,
-        compute_busy,
-        io_busy,
-    })
+    build_segmented_schedule_recorded(
+        &layer_layout(n_layers, n_layers, slots, costs),
+        t_head,
+        staging,
+        buffer_bytes,
+        slots,
+        level,
+    )
 }
 
 #[cfg(test)]

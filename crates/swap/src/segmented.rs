@@ -1,11 +1,5 @@
-//! Per-layer mixed-policy schedules (the delta-search extension of §4.3.4).
-//!
-//! The homogeneous builder in [`crate::schedule`] treats every layer the
-//! same: all but the last `slots` layers swap token-wise. The paper's
-//! search space stops there, but nothing in the mechanism requires it —
-//! a prefix of layers can swap while the remainder fully recomputes,
-//! trading host-staging pressure for refwd compute. This module simulates
-//! such *segmented* schedules, with each layer in one of three roles:
+//! The three-stream schedule simulator (§4.3.4, Figure 11) over per-layer
+//! roles. Each layer is in one of three roles:
 //!
 //! * [`SegmentPolicy::Swap`] — token-wise swap: offload the staged slice
 //!   in the forward pass, prefetch + recompute the non-swapped slice in
@@ -16,16 +10,26 @@
 //! * [`SegmentPolicy::Retained`] — activations stay resident in a
 //!   rounding buffer; no traffic, no recompute.
 //!
+//! [`layer_layout`] is the one layout rule every caller builds from:
+//! `[Swap × k][Recompute × rest][Retained × min(n, slots)]`. The paper's
+//! uniform token-wise schedule is the case `k = n − min(n, slots)` (no
+//! layer recomputes); smaller `k` trades host-staging pressure for
+//! re-forward compute (the delta-search extension).
+//!
 //! Buffer rotation is over *buffer users* (Swap + Retained layers) by
 //! their occupancy ordinal, not the raw layer index — recompute layers
-//! pass through without touching the ring. Splice validity demands a
+//! pass through without touching the ring. The rotation demands a
 //! specific occupancy shape (asserted, see [`validate_layout`]): every
 //! Swap ordinal needs a later occupant of its slot to kick its prefetch,
 //! and a Retained ordinal must be among the last `slots` occupants or a
-//! later user would clobber its resident activations. With zero Recompute
-//! layers and uniform costs this reduces *exactly* to the homogeneous
-//! builder — both the event loop and the scalar path are asserted
-//! bit-identical to it in that case, which anchors the differential suite.
+//! later user would clobber its resident activations.
+//!
+//! There is one recurrence per recording level: the event loop
+//! ([`RecordLevel::Full`], every op a span) and the scalar recurrence
+//! ([`RecordLevel::CursorOnly`], cursors and busy totals only). The
+//! differential suite pins both against the verbatim reference builder
+//! ([`crate::reference`]) on uniform layouts, and against each other on
+//! mixed ones.
 
 use crate::schedule::{LayerCosts, ScalarSchedule, ScheduleOutcome};
 use crate::tiers::{OutOfTierMemory, TierStaging};
@@ -63,18 +67,41 @@ impl LayerSegment {
     }
 }
 
+/// The layout rule of the three-stream schedule: the first `swap_layers`
+/// layers swap token-wise, the last `min(n_layers, slots)` stay retained
+/// in their rounding buffers, and every layer in between fully recomputes
+/// (a re-forward costing `t_fwd`). `swap_layers` is clamped to the layers
+/// that can swap at all, `n_layers − min(n_layers, slots)`; at the clamp
+/// no layer recomputes — the paper's uniform token-wise schedule.
+pub fn layer_layout(
+    n_layers: usize,
+    swap_layers: usize,
+    slots: usize,
+    costs: LayerCosts,
+) -> [LayerSegment; 3] {
+    let retained = slots.min(n_layers);
+    let swap = swap_layers.min(n_layers - retained);
+    let refwd = LayerCosts {
+        t_recompute: costs.t_fwd,
+        ..costs
+    };
+    [
+        LayerSegment::new(swap, SegmentPolicy::Swap, costs),
+        LayerSegment::new(n_layers - retained - swap, SegmentPolicy::Recompute, refwd),
+        LayerSegment::new(retained, SegmentPolicy::Retained, costs),
+    ]
+}
+
 /// Per-layer view of a segment list.
-fn expand(segments: &[LayerSegment]) -> Vec<(SegmentPolicy, LayerCosts)> {
+fn expand(segments: &[LayerSegment]) -> Vec<(SegmentPolicy, &LayerCosts)> {
     let mut layers = Vec::with_capacity(segments.iter().map(|s| s.count).sum());
     for seg in segments {
-        for _ in 0..seg.count {
-            layers.push((seg.policy, seg.costs));
-        }
+        layers.extend(std::iter::repeat_n((seg.policy, &seg.costs), seg.count));
     }
     layers
 }
 
-/// Check the splice-validity invariants of a segmented layout and return
+/// Check the rotation-validity invariants of a segmented layout and return
 /// `(buffer_users, swap_layers)`. Panics on an ill-formed layout — these
 /// are construction bugs, not data-dependent failures:
 ///
@@ -84,7 +111,7 @@ fn expand(segments: &[LayerSegment]) -> Vec<(SegmentPolicy, LayerCosts)> {
 /// * a Retained ordinal must be among the last `slots` occupants
 ///   (`b ≥ users − slots`), or the next user of its slot would overwrite
 ///   resident activations in the forward pass.
-fn validate_layout(layers: &[(SegmentPolicy, LayerCosts)], slots: usize) -> (usize, usize) {
+fn validate_layout(layers: &[(SegmentPolicy, &LayerCosts)], slots: usize) -> (usize, usize) {
     assert!(!layers.is_empty(), "schedule needs at least one layer");
     assert!(slots >= 2, "rotation needs at least two slots");
     let users = layers
@@ -143,9 +170,9 @@ pub fn build_segmented_schedule_recorded(
     }
 }
 
-/// The scalar recurrence over a segmented layout — the cursor-only path,
-/// without the steady-state splice (segmented layouts are short and
-/// heterogeneous; the per-layer loop is already sub-microsecond).
+/// The scalar recurrence over a segmented layout — the cursor-only path:
+/// the event loop's cursor arithmetic, one layer at a time, with no
+/// spans, marks or events.
 pub fn build_segmented_scalars(
     segments: &[LayerSegment],
     t_head: SimTime,
@@ -366,7 +393,6 @@ fn build_segmented_event_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::build_iteration_schedule_recorded;
 
     fn costs(t_fwd_ms: u64, transfer_ratio: f64, t_remat_ms: u64) -> LayerCosts {
         let bytes = 1_000_000u64;
@@ -401,48 +427,16 @@ mod tests {
     }
 
     #[test]
-    fn reduces_to_homogeneous_builder_without_recompute_layers() {
-        // [Swap × (n−slots)][Retained × slots] with uniform costs IS the
-        // homogeneous schedule — both recording levels, outcome + staging.
-        for n in [3usize, 5, 8, 16] {
-            for slots in [2usize, 3] {
-                if n <= slots {
-                    continue;
-                }
-                for remat in [0u64, 4] {
-                    let c = costs(10, 1.3, remat);
-                    let segs = mixed(n, n - slots, slots, c, 0);
-                    for level in [RecordLevel::Full, RecordLevel::CursorOnly] {
-                        let mut s1 = TierStaging::unbounded(1);
-                        let mut s2 = TierStaging::unbounded(1);
-                        let seg_out = build_segmented_schedule_recorded(
-                            &segs,
-                            SimTime::from_millis(5),
-                            &mut s1,
-                            0,
-                            slots,
-                            level,
-                        )
-                        .unwrap();
-                        let homo = build_iteration_schedule_recorded(
-                            n,
-                            c,
-                            SimTime::from_millis(5),
-                            &mut s2,
-                            0,
-                            slots,
-                            level,
-                        )
-                        .unwrap();
-                        assert_outcomes_match(&seg_out, &homo);
-                        assert_eq!(s1, s2);
-                        if level == RecordLevel::Full {
-                            assert_eq!(seg_out.timeline.spans().len(), homo.timeline.spans().len());
-                        }
-                    }
-                }
-            }
-        }
+    fn layer_layout_clamps_and_refwds_at_t_fwd() {
+        let c = costs(10, 1.0, 3);
+        let counts = |segs: [LayerSegment; 3]| segs.map(|s| s.count);
+        assert_eq!(counts(layer_layout(12, 4, 2, c)), [4, 6, 2]);
+        assert_eq!(counts(layer_layout(12, 99, 2, c)), [10, 0, 2]);
+        assert_eq!(counts(layer_layout(1, 1, 2, c)), [0, 0, 1]);
+        let segs = layer_layout(12, 4, 2, c);
+        assert_eq!(segs[0].costs, c);
+        assert_eq!(segs[1].costs.t_recompute, c.t_fwd);
+        assert_eq!(segs[2].costs, c);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! per offload tier (host DRAM, NVMe, CXL, ...), indexed in chain order —
 //! pool 0 is the tier nearest the GPU. A *layer* reservation stages that
 //! layer's per-tier traffic across all pools at once; the batched
-//! `reserve_layers`/`release_layers` variants reuse the `reserve_many`/
-//! `release_many` splice primitives from the schedule fast path and keep
+//! `reserve_layers`/`release_layers` variants (the segment cache's staging
+//! replay) build on the pools' `reserve_many`/`release_many` and keep
 //! their contract: state and errors identical to the sequential loop they
 //! replace, pass and fail alike.
 
@@ -143,8 +143,8 @@ impl TierStaging {
     }
 
     /// Stage `count` layers with semantics identical to `count` sequential
-    /// [`Self::reserve_layer`] calls — the splice primitive of the schedule
-    /// fast path, batched across every pool.
+    /// [`Self::reserve_layer`] calls, batched across every pool (the
+    /// segment cache replays a memoized build's staging through it).
     pub fn reserve_layers(
         &mut self,
         traffic: &TierTrafficList,
@@ -255,7 +255,7 @@ mod tests {
 
     #[test]
     fn reserve_layers_matches_sequential_loop() {
-        // The batched splice must leave every pool in exactly the state
+        // The batched reserve must leave every pool in exactly the state
         // `count` sequential reserve_layer calls would — pass and fail
         // alike, across host-binding, deep-tier-binding and roomy cells.
         for caps in [[1000u64, 1000], [250, 1000], [1000, 90], [0, 0]] {

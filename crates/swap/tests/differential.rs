@@ -1,6 +1,6 @@
-//! Differential suite: the schedule fast path (`RecordLevel::CursorOnly`,
-//! steady-state splicing) vs the full event-machinery simulation vs the
-//! verbatim pre-fast-path builder on `memo_hal::reference`.
+//! Differential suite: the scalar schedule recurrence
+//! (`RecordLevel::CursorOnly`) vs the full event-machinery simulation vs
+//! the verbatim pre-fast-path builder on `memo_hal::reference`.
 //!
 //! Every cell asserts bit-identical makespans, forward ends, per-stream
 //! cursors, busy times, host peaks and post-run host usage across all three
@@ -58,9 +58,19 @@ fn scenarios() -> Vec<Scenario> {
             });
         }
     }
-    // Slot-count ablation (3 and 4 rotating buffers).
+    // Slot-count ablation (3 and 4 rotating buffers), including models
+    // shallower than the ring (n < slots: every layer retained).
     for slots in [3, 4] {
-        for n_layers in [slots, slots + 1, 2 * slots, 2 * slots + 1, 24, 95] {
+        for n_layers in [
+            1,
+            slots - 1,
+            slots,
+            slots + 1,
+            2 * slots,
+            2 * slots + 1,
+            24,
+            95,
+        ] {
             out.push(Scenario {
                 n_layers,
                 slots,
@@ -118,8 +128,8 @@ fn scenarios() -> Vec<Scenario> {
         t_head: ms(5),
         host_capacity: roomy,
     });
-    // OOHM cells: capacity for 0, 1, 3, 10 layers (failures before, inside
-    // and after the point where the splice kicks in), plus an exact fit.
+    // OOHM cells: capacity for 0, 1, 3, 10 layers (failures in the first
+    // layers, mid-forward and late), plus an exact fit.
     for layers_fit in [0u64, 1, 3, 10] {
         out.push(Scenario {
             n_layers: 24,
@@ -272,8 +282,8 @@ fn all_scenarios_bit_identical() {
 }
 
 /// A dense layer-count × slot sweep: every boundary between the warm-up,
-/// steady and tail regions, for several transfer regimes. This is the
-/// guard against off-by-one errors in the splice window.
+/// middle and tail regions of the buffer ring, for several transfer
+/// regimes. This is the guard against off-by-one errors in the rotation.
 #[test]
 fn exhaustive_small_grid() {
     for slots in 2..=4usize {

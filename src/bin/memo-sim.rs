@@ -208,7 +208,7 @@ impl ObsSink {
 
 /// Dense α grid at one MEMO strategy, swept through the delta path
 /// ([`Workload::alpha_grid_with`]): profile/plan pins plus the segment
-/// cache make the per-α cost a cache splice, not a fresh simulation.
+/// cache make the per-α cost a cache lookup, not a fresh simulation.
 fn print_alpha_grid(
     workload: &Workload,
     cfg: &ParallelConfig,

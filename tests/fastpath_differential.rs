@@ -1,9 +1,9 @@
 //! Differential suite for the iteration-simulation fast path.
 //!
-//! An unobserved `run_report` records at `RecordLevel::CursorOnly` and may
-//! take the steady-state splicing path in `memo_swap::schedule`; an
-//! observed run records at `RecordLevel::Full` and drives the event loop
-//! span by span. The two must agree bit-for-bit on every reported number —
+//! An unobserved `run_report` records at `RecordLevel::CursorOnly` and runs
+//! the scalar schedule recurrence in `memo_swap::segmented`; an observed
+//! run records at `RecordLevel::Full` and drives the event loop span by
+//! span. The two must agree bit-for-bit on every reported number —
 //! outcome metrics, byte and time breakdowns, and the OOM/OOHM
 //! diagnostics — across all six execution modes.
 
