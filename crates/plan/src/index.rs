@@ -73,9 +73,15 @@ impl IntervalIndex {
     /// nothing.
     pub fn query_interval(&self, qb: usize, qd: usize) -> Vec<usize> {
         let mut out = Vec::new();
-        self.collect(0, self.order.len(), qb, qd, &mut out);
+        self.for_each_overlap(qb, qd, |j| out.push(j));
         out.sort_unstable();
         out
+    }
+
+    /// Visit the original index of every tensor whose lifespan intersects
+    /// `[qb, qd)`, in no particular order and without allocating.
+    pub fn for_each_overlap(&self, qb: usize, qd: usize, mut f: impl FnMut(usize)) {
+        self.visit(0, self.order.len(), qb, qd, &mut f);
     }
 
     /// Conflicts of tensor `i` (original index), ascending; excludes `i`.
@@ -87,7 +93,7 @@ impl IntervalIndex {
         out
     }
 
-    fn collect(&self, lo: usize, hi: usize, qb: usize, qd: usize, out: &mut Vec<usize>) {
+    fn visit(&self, lo: usize, hi: usize, qb: usize, qd: usize, f: &mut impl FnMut(usize)) {
         if lo >= hi || qb >= qd {
             return;
         }
@@ -97,16 +103,16 @@ impl IntervalIndex {
         if self.max_death[mid] <= qb {
             return;
         }
-        self.collect(lo, mid, qb, qd, out);
+        self.visit(lo, mid, qb, qd, f);
         // Births are sorted: once a node's birth reaches the query end,
         // neither it nor its right subtree can intersect.
         if self.birth[mid] >= qd {
             return;
         }
         if self.death[mid] > qb {
-            out.push(self.order[mid] as usize);
+            f(self.order[mid] as usize);
         }
-        self.collect(mid + 1, hi, qb, qd, out);
+        self.visit(mid + 1, hi, qb, qd, f);
     }
 
     /// All per-tensor conflict lists (each ascending), equivalent to

@@ -13,8 +13,9 @@
 //!
 //! * [`dsa`] — problem representation, lifespan analysis, liveness lower
 //!   bound, assignment validation;
-//! * [`heuristic`] — best-fit placement over several orderings (the fallback
-//!   for instances too large for exact search);
+//! * [`heuristic`] — indexed best-fit placement over several orderings,
+//!   each refined by squeaky-wheel reordering (the BnB incumbent, and the
+//!   fallback for instances too large for exact search);
 //! * [`bnb`] — an exact branch-and-bound solver for the MIP (provably
 //!   optimal on the instance sizes produced by the bi-level decomposition;
 //!   node-limited with a heuristic incumbent otherwise);
