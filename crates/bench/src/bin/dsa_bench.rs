@@ -13,8 +13,9 @@
 //!   at these sizes (`n ≫ 40`), recorded as `bnb_peak: null`.
 //! * **MegaTrain chunked** — the ≥1M-interval instance built from the
 //!   token-chunked fwd/bwd request stream (`memo_model::chunked`, 100B
-//!   class at 1M tokens). Asserted to plan in seconds, validate, and stay
-//!   within boxing's certified `2·K·LOAD` guarantee.
+//!   class at 1M tokens). Asserted to plan in seconds, validate, stay
+//!   within boxing's certified `2·K·LOAD` guarantee, and land within 1 %
+//!   of the liveness bound.
 //!
 //! Every cell records `gap_ok`: peak within the certified guarantee (boxing
 //! path) and never below the liveness lower bound. CI greps the JSON for
@@ -216,6 +217,12 @@ fn main() {
         synth.runtime_ms
     );
     assert!(synth.gap_ok, "synth cell outside certified gap");
+    // True-height bands land on the liveness bound here (gap 1.000000).
+    assert!(
+        synth.gap() <= 1.01,
+        "million-interval plan at gap {:.6}, above 1.01",
+        synth.gap()
+    );
     cells.push(synth);
 
     // ---- report ----------------------------------------------------------

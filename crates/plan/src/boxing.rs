@@ -1,48 +1,48 @@
-//! Near-optimal whole-trace DSA via jobset analysis and interval boxing.
+//! Near-optimal whole-trace DSA via height classes and stacked bands.
 //!
 //! Exact branch-and-bound ([`crate::bnb`]) is limited to the tiny instances
 //! produced by the bi-level decomposition; the whole-model ("flat")
 //! formulation of §4.2 carries thousands to millions of intervals. This
-//! module implements a boxing solver in the idealloc/Buchsbaum family:
+//! module solves it in the idealloc/Buchsbaum family:
 //!
-//! 1. **Jobset analysis** ([`jobsets`]): sweep the birth/death event points
-//!    and record, per power-of-two *height class* `c` (true sizes in
-//!    `(2^(c-1), 2^c]`), the maximum number of concurrently-live tensors
-//!    `T_c` and the maximum live bytes, plus the global liveness load
-//!    `LOAD = lower_bound()`.
-//! 2. **Per-class coloring**: within a class every tensor is rounded to
-//!    height `2^c`, so placement reduces to interval-graph coloring; a
-//!    birth-ordered sweep with a free-track min-heap colors each class with
-//!    exactly `T_c` tracks (optimal, since `T_c` is the clique number).
-//! 3. **Recursive boxing**: pairs of class-`c` tracks are merged into boxes
-//!    of height `2^(c+1)` (the box lifespan is the union span) and promoted
-//!    into class `c+1`, recursing until the top class, whose tracks are
-//!    stacked contiguously. Unwinding the boxes yields concrete offsets.
-//! 4. **Certified fallback** (stacked bands): coloring each class in its
-//!    own contiguous band gives peak `Σ_c T_c·2^c ≤ 2·K·LOAD` where `K` is
-//!    the number of nonempty classes — at the instant class `c` reaches
-//!    `T_c` live tensors, each has true size `> 2^(c-1)`, so
-//!    `T_c·2^c < 2·maxload_c ≤ 2·LOAD` (class 0 sizes are exactly 1, so
-//!    the factor-2 is not even needed there).
+//! 1. **Best-fit first** (instances of at most `portfolio_max_tensors`):
+//!    the [`crate::heuristic`] best-fit solve runs first, and if it meets
+//!    the liveness bound `LOAD = lower_bound()` it is returned at once —
+//!    no bands, no polish, since nothing can go lower.
+//! 2. **Stacked bands in one sweep**: every nonzero tensor falls in a
+//!    power-of-two *height class* `c` (true sizes in `(2^(c-1), 2^c]`).
+//!    One birth-ordered sweep, with a death-ordered release cursor and a
+//!    free-track stack per class, colors each class onto exactly `T_c`
+//!    tracks (its maximum number of concurrently-live tensors, the clique
+//!    number) of height `h_c`, the class's largest true size, and measures
+//!    `LOAD` on the way. Each class's tracks form one contiguous band and
+//!    the bands are stacked: offsets are `base_c + track·h_c`, the peak
+//!    `Σ_c T_c·h_c`.
+//! 3. **Certificate**: at the instant class `c` reaches `T_c` live
+//!    tensors, each has true size `> 2^(c-1) ≥ h_c/2`, so
+//!    `T_c·h_c < 2·maxload_c ≤ 2·LOAD` (class 0 sizes are exactly 1, so
+//!    the factor 2 is not even needed there) and the bands' peak is at
+//!    most `2·K·LOAD`, `K` the number of nonempty classes.
 //!
-//! The solver returns the best of {recursive boxes, stacked bands, best-fit
-//! portfolio (small instances only)} after optional compaction polish, so
-//! its peak is **provably ≤ `2·K·LOAD`** — the `guarantee` field — while
-//! in practice landing much closer to the lower bound. Everything is
-//! O(n log n) per class level, which is what lets a ≥1M-interval trace
-//! solve in seconds (see `dsa_bench`).
+//! Otherwise the solver keeps the lower of {stacked bands, best-fit} and
+//! runs the compaction polish, so its peak is **provably ≤ `2·K·LOAD`** —
+//! the `guarantee` field — while in practice landing at or near the lower
+//! bound. The sweep is two sorts plus a linear pass, which is what lets a
+//! ≥1M-interval trace solve in a fraction of a second (see `dsa_bench`).
+//! [`jobsets`] recomputes the per-class summary on its own, as the oracle
+//! for the sweep.
 
 use crate::dsa::{Assignment, DsaInstance};
 use crate::heuristic;
 use crate::index::IntervalIndex;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 /// Tuning knobs for [`solve_with`]. Defaults are documented thresholds
 /// (also exercised by the dispatch tests).
 #[derive(Debug, Clone)]
 pub struct BoxingOptions {
-    /// Run the O(n²) best-fit portfolio candidate when `n ≤` this.
+    /// Run best-fit first when `n ≤` this; it is returned at once when it
+    /// meets the liveness bound, and otherwise competes with the bands.
     pub portfolio_max_tensors: usize,
     /// Run compaction polish passes when `n ≤` this.
     pub polish_max_tensors: usize,
@@ -89,7 +89,6 @@ pub struct Jobsets {
 /// How the winning candidate was produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Candidate {
-    RecursiveBoxes,
     StackedBands,
     BestFit,
 }
@@ -97,7 +96,6 @@ pub enum Candidate {
 impl Candidate {
     pub fn name(self) -> &'static str {
         match self {
-            Candidate::RecursiveBoxes => "recursive-boxes",
             Candidate::StackedBands => "stacked-bands",
             Candidate::BestFit => "best-fit",
         }
@@ -179,159 +177,115 @@ pub fn jobsets(inst: &DsaInstance) -> Jobsets {
     }
 }
 
-/// A boxing work item: either an original tensor (leaf) or a box merging
-/// two time-disjoint tracks of the class below.
-#[derive(Debug)]
-struct Node {
-    birth: usize,
-    death: usize,
-    kind: NodeKind,
+/// One height class's tracks during the [`stacked_bands`] sweep.
+#[derive(Debug, Default, Clone)]
+struct Band {
+    /// Tracks opened so far; `T_c` once the sweep ends.
+    tracks: u32,
+    /// Largest true size seen: the band's track height `h_c`.
+    height: u64,
+    /// Tracks released by dead tensors, reused last-in first-out.
+    free: Vec<u32>,
 }
 
-#[derive(Debug)]
-enum NodeKind {
-    Leaf(u32),
-    Merge {
-        /// Height of the class below: `hi` members sit at `base + half`.
-        half: u64,
-        lo: Vec<Node>,
-        hi: Vec<Node>,
-    },
+/// The bands candidate: each class's tracks stacked as one contiguous
+/// band of height `T_c·h_c` (see the module docs for the certificate).
+struct Bands {
+    offsets: Vec<u64>,
+    peak: u64,
+    /// The liveness load `LOAD`, measured by the same sweep.
+    load: u64,
 }
 
-/// Color time-overlapping items onto the minimum number of tracks
-/// (interval-graph coloring by birth-ordered sweep). Items within a track
-/// are time-disjoint and birth-sorted.
-fn color(mut items: Vec<Node>) -> Vec<Vec<Node>> {
-    items.sort_unstable_by_key(|n| (n.birth, n.death));
-    let mut tracks: Vec<Vec<Node>> = Vec::new();
-    // (death, track) of currently-live track heads.
-    let mut live: BinaryHeap<Reverse<(usize, usize)>> = BinaryHeap::new();
-    let mut free: BinaryHeap<Reverse<usize>> = BinaryHeap::new();
-    for item in items {
-        while let Some(&Reverse((death, track))) = live.peek() {
-            if death <= item.birth {
-                live.pop();
-                free.push(Reverse(track));
-            } else {
+/// Stacked bands at true heights in one sweep. The nonzero tensors are
+/// visited in `(birth, death, idx)` order while a second cursor walks them
+/// in `(death, idx)` order; before each birth, every tensor dead by then
+/// hands its track back to its class's free stack. Any free track will
+/// do: when none is free, all of the class's tracks are held by tensors
+/// live at this birth, so each class opens exactly `T_c` tracks (the
+/// clique number of its interval graph).
+fn stacked_bands(inst: &DsaInstance) -> Bands {
+    let tensors = &inst.tensors;
+    let mut by_death: Vec<u32> = (0..tensors.len() as u32)
+        .filter(|&i| tensors[i as usize].size > 0)
+        .collect();
+    let mut by_birth = by_death.clone();
+    // Builder output is already in death order, so this stable sort is a
+    // near-linear check.
+    by_death.sort_by_key(|&i| tensors[i as usize].death);
+    by_birth.sort_unstable_by_key(|&i| {
+        let t = &tensors[i as usize];
+        (t.birth, t.death, i)
+    });
+
+    let mut bands: Vec<Band> = vec![Band::default(); 64];
+    let mut track = vec![0u32; tensors.len()];
+    let (mut live, mut load) = (0u64, 0u64);
+    let mut dead = by_death.iter().peekable();
+    for &i in &by_birth {
+        let t = &tensors[i as usize];
+        while let Some(&&j) = dead.peek() {
+            let d = &tensors[j as usize];
+            if d.death > t.birth {
                 break;
             }
-        }
-        let track = match free.pop() {
-            Some(Reverse(t)) => t,
-            None => {
-                tracks.push(Vec::new());
-                tracks.len() - 1
-            }
-        };
-        live.push(Reverse((item.death, track)));
-        tracks[track].push(item);
-    }
-    tracks
-}
-
-fn track_span(track: &[Node]) -> (usize, usize) {
-    // Track members are birth-sorted and time-disjoint.
-    let birth = track.first().map(|n| n.birth).unwrap_or(0);
-    let death = track.last().map(|n| n.death).unwrap_or(0);
-    (birth, death)
-}
-
-/// Recursively place a node's leaves at `base` (+`half` for `hi` members).
-fn place(node: &Node, base: u64, offsets: &mut [u64]) {
-    match &node.kind {
-        NodeKind::Leaf(i) => offsets[*i as usize] = base,
-        NodeKind::Merge { half, lo, hi } => {
-            for n in lo {
-                place(n, base, offsets);
-            }
-            for n in hi {
-                place(n, base.saturating_add(*half), offsets);
+            dead.next();
+            // A zero-width lifespan (never built from a trace) holds no
+            // track past its own birth, below.
+            if d.death > d.birth {
+                bands[class_of(d.size) as usize]
+                    .free
+                    .push(track[j as usize]);
+                live -= d.size;
             }
         }
-    }
-}
-
-fn leaves_by_class(inst: &DsaInstance) -> BTreeMap<u32, Vec<Node>> {
-    let mut native: BTreeMap<u32, Vec<Node>> = BTreeMap::new();
-    for (i, t) in inst.tensors.iter().enumerate() {
-        if t.size == 0 {
-            continue;
-        }
-        native.entry(class_of(t.size)).or_default().push(Node {
-            birth: t.birth,
-            death: t.death,
-            kind: NodeKind::Leaf(i as u32),
+        let band = &mut bands[class_of(t.size) as usize];
+        band.height = band.height.max(t.size);
+        let k = band.free.pop().unwrap_or_else(|| {
+            band.tracks += 1;
+            band.tracks - 1
         });
+        track[i as usize] = k;
+        if t.death > t.birth {
+            live += t.size;
+            load = load.max(live);
+        } else {
+            band.free.push(k);
+        }
     }
-    native
-}
 
-/// Candidate B: recursive buddy boxing. Tracks of class `c` are paired
-/// into boxes of height `2^(c+1)` and promoted; the top class's tracks are
-/// stacked contiguously.
-fn recursive_boxes(inst: &DsaInstance) -> (Vec<u64>, u64) {
-    let mut offsets = vec![0u64; inst.tensors.len()];
-    let mut native = leaves_by_class(inst);
-    let Some((&top, _)) = native.iter().next_back() else {
-        return (offsets, 0);
-    };
-    let mut c = *native.keys().next().unwrap();
-    let mut carry: Vec<Node> = Vec::new();
-    loop {
-        let mut items = native.remove(&c).unwrap_or_default();
-        items.append(&mut carry);
-        let tracks = color(items);
-        if c >= top {
-            let height = 1u64 << c;
-            for (t, track) in tracks.iter().enumerate() {
-                let base = (t as u64).saturating_mul(height);
-                for node in track {
-                    place(node, base, &mut offsets);
-                }
+    let mut base = [0u64; 64];
+    let mut peak = 0u64;
+    for (b, band) in base.iter_mut().zip(&bands) {
+        *b = peak;
+        peak = peak.saturating_add(u64::from(band.tracks).saturating_mul(band.height));
+    }
+    let offsets = tensors
+        .iter()
+        .zip(&track)
+        .map(|(t, &k)| {
+            if t.size == 0 {
+                return 0;
             }
-            let peak = (tracks.len() as u64).saturating_mul(height);
-            return (offsets, peak);
-        }
-        let half = 1u64 << c;
-        let mut tracks = tracks.into_iter();
-        while let Some(lo) = tracks.next() {
-            let hi = tracks.next().unwrap_or_default();
-            let (lb, ld) = track_span(&lo);
-            let (hb, hd) = track_span(&hi);
-            let (birth, death) = if hi.is_empty() {
-                (lb, ld)
-            } else {
-                (lb.min(hb), ld.max(hd))
-            };
-            carry.push(Node {
-                birth,
-                death,
-                kind: NodeKind::Merge { half, lo, hi },
-            });
-        }
-        c += 1;
+            let c = class_of(t.size) as usize;
+            base[c].saturating_add(u64::from(k).saturating_mul(bands[c].height))
+        })
+        .collect();
+    Bands {
+        offsets,
+        peak,
+        load,
     }
 }
 
-/// Candidate A: each class colored into its own contiguous band; bands are
-/// stacked. This is the candidate whose peak certifies the `2·K·LOAD`
-/// guarantee (see the module docs).
-fn stacked_bands(inst: &DsaInstance) -> (Vec<u64>, u64) {
-    let mut offsets = vec![0u64; inst.tensors.len()];
-    let mut base = 0u64;
-    for (c, items) in leaves_by_class(inst) {
-        let height = 1u64 << c;
-        let tracks = color(items);
-        for (t, track) in tracks.iter().enumerate() {
-            let off = base.saturating_add((t as u64).saturating_mul(height));
-            for node in track {
-                place(node, off, &mut offsets);
-            }
-        }
-        base = base.saturating_add((tracks.len() as u64).saturating_mul(height));
-    }
-    (offsets, base)
+/// Number of nonempty height classes: the `K` of the guarantee.
+fn class_count(inst: &DsaInstance) -> usize {
+    let mask = inst
+        .tensors
+        .iter()
+        .filter(|t| t.size > 0)
+        .fold(0u64, |m, t| m | 1 << class_of(t.size));
+    mask.count_ones() as usize
 }
 
 /// One compaction pass: re-place every tensor in ascending current-offset
@@ -382,25 +336,42 @@ pub fn solve(inst: &DsaInstance) -> BoxingSolution {
     solve_with(inst, &BoxingOptions::default())
 }
 
-/// Solve: jobset analysis, candidate generation, polish, certification.
+/// Solve: best-fit first on small instances (returned as soon as it meets
+/// the liveness bound), else the lower of best-fit and the stacked bands,
+/// polished; certified against `2·K·LOAD` either way.
 pub fn solve_with(inst: &DsaInstance, opts: &BoxingOptions) -> BoxingSolution {
     let n = inst.tensors.len();
-    let js = jobsets(inst);
-    let k = js.classes.len() as u64;
-    // Certified bound peak ≤ 2·K·LOAD (see module docs); the returned
-    // assignment is the min over candidates that include stacked bands,
-    // whose peak obeys the bound by construction.
-    let guarantee = js.load.saturating_mul(2).saturating_mul(k);
+    let classes = class_count(inst);
+    let certify = |assignment: Assignment, load: u64, candidate, polish_passes| {
+        // Certified bound peak ≤ 2·K·LOAD (see module docs): the bands'
+        // peak obeys it by construction, and every other returned
+        // assignment is at most the bands' peak or exactly `LOAD`.
+        let guarantee = load.saturating_mul(2).saturating_mul(classes as u64);
+        debug_assert!(assignment.validate(inst).is_ok());
+        debug_assert!(assignment.peak <= guarantee);
+        BoxingSolution {
+            assignment,
+            lower_bound: load,
+            guarantee,
+            stats: BoxingStats {
+                n_tensors: n,
+                classes,
+                candidate,
+                polish_passes,
+            },
+        }
+    };
 
-    let (bands_off, bands_peak) = stacked_bands(inst);
-    debug_assert!(bands_peak <= guarantee);
-    let (boxes_off, boxes_peak) = recursive_boxes(inst);
-    let mut best = (Candidate::StackedBands, bands_off, bands_peak);
-    if boxes_peak < best.2 {
-        best = (Candidate::RecursiveBoxes, boxes_off, boxes_peak);
+    let mut best_fit = (n > 0 && n <= opts.portfolio_max_tensors).then(|| heuristic::solve(inst));
+    // Polish cannot go below the bound: nothing left to gain.
+    if let Some(bf) = best_fit.take_if(|bf| bf.peak == inst.lower_bound()) {
+        let load = bf.peak;
+        return certify(bf, load, Candidate::BestFit, 0);
     }
-    if n <= opts.portfolio_max_tensors && n > 0 {
-        let bf = heuristic::solve(inst);
+
+    let bands = stacked_bands(inst);
+    let mut best = (Candidate::StackedBands, bands.offsets, bands.peak);
+    if let Some(bf) = best_fit {
         if bf.peak < best.2 {
             best = (Candidate::BestFit, bf.offsets, bf.peak);
         }
@@ -424,20 +395,12 @@ pub fn solve_with(inst: &DsaInstance, opts: &BoxingOptions) -> BoxingSolution {
         }
     }
 
-    let assignment = Assignment { offsets, peak };
-    debug_assert!(assignment.validate(inst).is_ok());
-    debug_assert!(peak <= guarantee || n == 0);
-    BoxingSolution {
-        assignment,
-        lower_bound: js.load,
-        guarantee,
-        stats: BoxingStats {
-            n_tensors: n,
-            classes: js.classes.len(),
-            candidate,
-            polish_passes,
-        },
-    }
+    certify(
+        Assignment { offsets, peak },
+        bands.load,
+        candidate,
+        polish_passes,
+    )
 }
 
 #[cfg(test)]
@@ -549,6 +512,32 @@ mod tests {
     }
 
     #[test]
+    fn best_fit_meeting_the_bound_returns_before_bands_and_polish() {
+        // Non-power-of-two sizes in one class: bands round each track up
+        // to 7, best-fit packs the true sizes at the bound.
+        let inst = DsaInstance {
+            tensors: vec![t(0, 5, 0, 4), t(1, 7, 0, 2), t(2, 6, 2, 4), t(3, 5, 4, 6)],
+        };
+        let sol = solve(&inst);
+        assert_eq!(sol.stats.candidate, Candidate::BestFit);
+        assert_eq!(sol.stats.polish_passes, 0);
+        assert_eq!(sol.assignment.peak, inst.lower_bound());
+        assert_eq!(sol.lower_bound, 12);
+        assert_eq!(sol.guarantee, 2 * 12);
+        sol.assignment.validate(&inst).unwrap();
+        let bands = solve_with(
+            &inst,
+            &BoxingOptions {
+                portfolio_max_tensors: 0,
+                polish_max_tensors: 0,
+                ..BoxingOptions::default()
+            },
+        );
+        assert_eq!(bands.stats.candidate, Candidate::StackedBands);
+        assert_eq!(bands.assignment.peak, 2 * 7);
+    }
+
+    #[test]
     fn polish_never_raises_peak_and_large_path_skips_portfolio() {
         let inst = random_inst(99, 200, 80, 1 << 12);
         let base = solve_with(
@@ -567,9 +556,6 @@ mod tests {
             },
         );
         assert!(polished.assignment.peak <= base.assignment.peak);
-        assert!(matches!(
-            base.stats.candidate,
-            Candidate::RecursiveBoxes | Candidate::StackedBands
-        ));
+        assert_eq!(base.stats.candidate, Candidate::StackedBands);
     }
 }

@@ -7,10 +7,10 @@
 //! * `n ≤ DispatchOptions::exact.max_tensors` (default 40) → exact
 //!   branch-and-bound ([`crate::bnb`]), backend [`PlannerBackend::Exact`];
 //! * above that → the boxing solver ([`crate::boxing`]), backend
-//!   [`PlannerBackend::Boxing`] — unless its internal best-fit portfolio
-//!   candidate (run for `n ≤ BoxingOptions::portfolio_max_tensors`,
-//!   default 4096) produced the winning packing, which is reported as
-//!   [`PlannerBackend::BestFit`] (the last-resort heuristic).
+//!   [`PlannerBackend::Boxing`] — unless its best-fit candidate (run
+//!   first for `n ≤ BoxingOptions::portfolio_max_tensors`, default 4096,
+//!   and returned at once when it meets the liveness bound) produced the
+//!   winning packing, which is reported as [`PlannerBackend::BestFit`].
 //!
 //! [`plan_whole_trace`] is the whole-model entry point: it streams the
 //! trace into a flat [`DsaInstance`] and dispatches it, producing a
@@ -49,9 +49,9 @@ impl PlannerKind {
 pub enum PlannerBackend {
     /// Exact branch-and-bound.
     Exact,
-    /// Boxing (recursive boxes or stacked bands candidate won).
+    /// Boxing: its true-height stacked bands won.
     Boxing,
-    /// Boxing ran, but its best-fit portfolio candidate won.
+    /// Boxing ran, but its best-fit candidate won.
     BestFit,
 }
 
@@ -116,7 +116,7 @@ pub fn solve(inst: &DsaInstance, opts: &DispatchOptions) -> DispatchSolution {
         let sol = boxing::solve_with(inst, &opts.boxing);
         let backend = match sol.stats.candidate {
             Candidate::BestFit => PlannerBackend::BestFit,
-            _ => PlannerBackend::Boxing,
+            Candidate::StackedBands => PlannerBackend::Boxing,
         };
         DispatchSolution {
             lower_bound: sol.lower_bound,

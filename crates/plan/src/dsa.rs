@@ -12,9 +12,10 @@
 //! [`Assignment::validate`] and the [`crate::boxing`] solver it now scales
 //! to million-interval traces.
 
+use memo_model::hash::FxMap;
 use memo_model::trace::{IterationTrace, MemOp, Request, TensorId};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// One tensor to place. Lifespan is the half-open index interval
 /// `[birth, death)` over the request sequence's *event positions*.
@@ -42,10 +43,13 @@ pub struct DsaInstance {
 /// Streaming construction of a [`DsaInstance`] from a malloc/free event
 /// stream, without materializing the flattened request vector. Each pushed
 /// request advances the event cursor by one; lifespans are the half-open
-/// `[birth, death)` cursor intervals.
+/// `[birth, death)` cursor intervals. Tensors are pushed as they are
+/// freed, so the instance comes out in death order.
 #[derive(Debug, Default)]
 pub struct DsaInstanceBuilder {
-    open: HashMap<TensorId, (usize, u64)>,
+    /// Open tensors by id; the keys are internal trace ids, so the
+    /// unhardened [`FxMap`] is safe and much faster than SipHash here.
+    open: FxMap<TensorId, (usize, u64)>,
     tensors: Vec<DsaTensor>,
     cursor: usize,
     dangling_free: bool,

@@ -43,6 +43,40 @@ proptest! {
         prop_assert!(sol.assignment.peak <= sol.guarantee);
     }
 
+    // The one-sweep bands against the `jobsets` oracle: they validate,
+    // their peak is `Σ T_c·h_c` (h_c the class's largest true size), never
+    // above the power-of-two bands' `Σ T_c·2^c`, and the sweep's load is
+    // the liveness bound.
+    #[test]
+    fn true_height_bands_match_jobsets_and_beat_power_of_two_bands(
+        inst in inst_strategy(120),
+    ) {
+        let bands = boxing::solve_with(
+            &inst,
+            &BoxingOptions {
+                portfolio_max_tensors: 0,
+                polish_max_tensors: 0,
+                ..BoxingOptions::default()
+            },
+        );
+        bands.assignment.validate(&inst).unwrap();
+        let js = boxing::jobsets(&inst);
+        let height = |class: u32| {
+            inst.tensors
+                .iter()
+                .filter(|t| t.size > 0 && t.size.next_power_of_two().trailing_zeros() == class)
+                .map(|t| t.size)
+                .max()
+                .unwrap()
+        };
+        let true_heights: u64 = js.classes.iter().map(|c| c.tracks as u64 * height(c.class)).sum();
+        let powers_of_two: u64 = js.classes.iter().map(|c| (c.tracks as u64) << c.class).sum();
+        prop_assert_eq!(bands.assignment.peak, true_heights);
+        prop_assert!(bands.assignment.peak <= powers_of_two);
+        prop_assert_eq!(bands.lower_bound, inst.lower_bound());
+        prop_assert_eq!(bands.stats.classes, js.classes.len());
+    }
+
     // The two validators are behaviourally identical on arbitrary
     // (instance, offsets) pairs — valid and invalid alike — except for
     // overflow, which only the checked sweep path reports.
@@ -135,7 +169,7 @@ fn best_fit_is_last_resort_only() {
     assert_ne!(sol.backend, PlannerBackend::Exact, "above exact threshold");
 }
 
-// A mid-scale MegaTrain instance (≈54k intervals): boxing must stay within
+// A mid-scale MegaTrain instance (26,412 intervals): boxing must stay within
 // its certificate and validate end to end through the dispatch policy.
 #[test]
 fn megatrain_midscale_plans_within_certificate() {
@@ -157,4 +191,7 @@ fn megatrain_midscale_plans_within_certificate() {
     sol.assignment.validate(&inst).unwrap();
     assert!(sol.assignment.peak >= sol.lower_bound);
     assert!(sol.assignment.peak <= sol.guarantee.expect("boxing path"));
+    // Pinned: polished true-height bands land at gap 1.010909 here.
+    let gap = sol.assignment.peak as f64 / sol.lower_bound as f64;
+    assert!(gap <= 1.011, "mid-scale gap {gap:.6}");
 }

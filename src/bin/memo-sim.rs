@@ -26,8 +26,8 @@ memo-sim — simulate long-context LLM training (MEMO, SIGMOD 2025 reproduction)
 USAGE:
     memo-sim --model <7b|13b|30b|65b> --gpus <N> --seq <LEN> [OPTIONS]
 
-LEN accepts k/m suffixes (e.g. 512k, 1m) and comma-separated lists
-(e.g. --seq 64k,256k,1m runs one cell per length).
+LEN is a positive length that accepts k/m suffixes (e.g. 512k, 1m) and
+comma-separated lists (e.g. --seq 64k,256k,1m runs one cell per length).
 
 OPTIONS:
     --system <SYS>                       system to simulate (default: memo); one of
@@ -69,15 +69,22 @@ fn parse_seq_list(s: &str) -> Option<Vec<u64>> {
     s.split(',').map(|part| parse_seq(part.trim())).collect()
 }
 
+/// A positive length in tokens; `None` for zero, garbage, or a value that
+/// overflows `u64` once its suffix is applied.
 fn parse_seq(s: &str) -> Option<u64> {
     let s = s.to_ascii_lowercase();
-    if let Some(v) = s.strip_suffix('m') {
-        v.parse::<u64>().ok().map(|v| v * 1024 * 1024)
+    let (digits, unit) = if let Some(v) = s.strip_suffix('m') {
+        (v, 1 << 20)
     } else if let Some(v) = s.strip_suffix('k') {
-        v.parse::<u64>().ok().map(|v| v * 1024)
+        (v, 1 << 10)
     } else {
-        s.parse().ok()
-    }
+        (s.as_str(), 1)
+    };
+    digits
+        .parse::<u64>()
+        .ok()?
+        .checked_mul(unit)
+        .filter(|&n| n > 0)
 }
 
 fn parse_model(s: &str) -> Option<ModelConfig> {
@@ -378,7 +385,13 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--gpus" => gpus = take().and_then(|v| v.parse::<usize>().ok()),
+            "--gpus" => match take().and_then(|v| v.parse::<usize>().ok()) {
+                Some(n) if n > 0 => gpus = Some(n),
+                _ => {
+                    eprintln!("--gpus requires a positive integer");
+                    return ExitCode::FAILURE;
+                }
+            },
             "--seq" => match take() {
                 Some(v) => match parse_seq_list(&v) {
                     Some(s) if !s.is_empty() => seq = Some(s),
@@ -410,9 +423,16 @@ fn main() -> ExitCode {
                         _ => None,
                     }
                 });
-                if sweep.is_none() {
-                    eprintln!("--sweep expects START:END:STEP");
-                    return ExitCode::FAILURE;
+                match sweep {
+                    Some((start, end, _)) if end >= start => {}
+                    Some(_) => {
+                        eprintln!("--sweep END must not be below START");
+                        return ExitCode::FAILURE;
+                    }
+                    None => {
+                        eprintln!("--sweep expects START:END:STEP, each a positive length");
+                        return ExitCode::FAILURE;
+                    }
                 }
             }
             "--trace" => match take() {
@@ -457,9 +477,7 @@ fn main() -> ExitCode {
     };
     let seqs: Vec<u64> = match (sweep, seq) {
         (Some((start, end, step)), _) => {
-            assert!(step > 0 && end >= start, "bad sweep range");
-            (0..)
-                .map(|k| start + k * step)
+            std::iter::successors(Some(start), |s| s.checked_add(step))
                 .take_while(|&s| s <= end)
                 .collect()
         }
